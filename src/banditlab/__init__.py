@@ -58,17 +58,16 @@ from .learners import (
     BanditOptimalLearner,
     CapacityLearner,
     Expert,
-    ExpertsPool,
     Exp4Learner,
     FullInfoFeedback,
     SOABanditLearner,
     SOALearner,
     bandit_potential,
+    best_expert_loss,
+    exp4_gamma,
     expert_count,
     imitating_expert,
     make_learner,
-    pool_for,
-    run_exp4_on_sequence,
     soa_prediction,
 )
 

@@ -9,8 +9,8 @@ from pathlib import Path
 
 from . import harness, linear
 from .dimensions import bldim, format_witness, ldim, shatter_witness
-from .harness import GameConfig, play_bound, resolve_class, run_experiment, run_game
-from .learners import expert_count, expert_count_bound_holds, pool_for
+from .harness import GameConfig, bound_holds, resolve_class, run_experiment, run_game
+from .learners import exp4_gamma, expert_count, expert_count_bound_holds
 
 
 def _cmd_dim(args) -> int:
@@ -30,41 +30,35 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_play(args) -> int:
-    fc = resolve_class(args.klass)
-    cfg = GameConfig(fc, args.learner, args.adversary, args.T, args.trials, args.seed)
-    transcripts = run_game(cfg)
-    bound = play_bound(cfg, fc)
+    cfg = GameConfig(args.klass, args.learner, args.adversary, args.T, args.trials, args.seed)
     lines = ["trial,mistakes,bound,within_bound"]
-    for t in transcripts:
-        if bound is None:
+    all_within = True
+    for t in run_game(cfg):
+        if not t.bounds:
             lines.append(f"{t.trial},{t.mistakes},,")
             continue
-        value, direction = bound
-        if direction == ">=":
-            within = t.mistakes >= value
-        elif direction == "<":
-            within = t.mistakes < value
-        else:
-            within = t.mistakes <= value
+        value = t.bounds["bound"]
+        within = bound_holds(t.mistakes, value, t.bounds["direction"])
+        all_within &= within
         lines.append(f"{t.trial},{t.mistakes},{value!r},{str(within).lower()}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
         print(text, end="")
-    return 0
+    return 0 if all_within else 1
 
 
 def _cmd_experts(args) -> int:
     fc = resolve_class(args.klass)
-    pool = pool_for(fc, args.T, args.cap)
-    exact = expert_count(args.T, fc.k, pool.L)
-    ceiling = (args.T * fc.k) ** pool.L
-    print(f"class {fc.name}: ldim={pool.L}, horizon T={args.T}")
+    L = ldim(fc.full_space())
+    exact = expert_count(args.T, fc.k, L)
+    ceiling = (args.T * fc.k) ** L
+    print(f"class {fc.name}: ldim={L}, horizon T={args.T}")
     print(f"experts: {exact} (ceiling (T*k)^ldim = {ceiling})")
-    if not expert_count_bound_holds(args.T, fc.k, pool.L):
+    if not expert_count_bound_holds(args.T, fc.k, L):
         print("note: exact count exceeds the ceiling; known small-horizon artifact")
-    print(f"gamma = {pool.gamma!r}")
+    print(f"gamma = {exp4_gamma(args.T, fc.k, L)!r}")
     return 0
 
 
@@ -119,10 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(fn=_cmd_play)
 
-    p = sub.add_parser("experts", help="size and parameters of the expert pool")
+    p = sub.add_parser("experts", help="deviation-expert count and exp4 mixing rate")
     p.add_argument("--class", dest="klass", required=True)
     p.add_argument("--T", type=int, required=True)
-    p.add_argument("--cap", type=int, default=10**6)
     p.set_defaults(fn=_cmd_experts)
 
     p = sub.add_parser("linear-check", help="margin construction bookkeeping")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adversaries, catalog, learners, linear
+from . import adversaries, catalog, linear
 from .adversaries import (
     PermutationAdversary,
     draw_permutation_tape,
@@ -25,13 +25,14 @@ from .adversaries import (
     sample_realizable_sequence,
 )
 from .dimensions import bldim, ldim
-from .hypotheses import FiniteClass, LabeledSequence, read_class
+from .hypotheses import FiniteClass, LabeledSequence, VersionSpace, read_class
 from .learners import (
     BanditFeedback,
     FullInfoFeedback,
+    best_expert_loss,
+    expert_count,
+    expert_count_bound_holds,
     make_learner,
-    pool_for,
-    run_exp4_on_sequence,
 )
 
 PRESET_SEED = 20260809
@@ -265,16 +266,23 @@ def _mean_stderr(values) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def bound_holds(value: float, bound: float, direction: str, slack: float = 0.0) -> bool:
+    """Whether value meets bound in the given direction, allowing slack on
+    the bound's side."""
+    if direction == ">=":
+        return value >= bound - slack
+    if direction == "<":
+        return value < bound + slack
+    if direction == "<=":
+        return value <= bound + slack
+    if direction == "=":
+        return abs(value - bound) <= slack
+    raise ValueError(f"bad direction {direction!r}")
+
+
 def _mc_pass(mean: float, stderr: float, bound: float, direction: str) -> bool:
     """Monte Carlo acceptance: mean within 3 standard errors on the correct side."""
-    slack = 3.0 * stderr
-    if direction == ">=":
-        return mean >= bound - slack
-    if direction in ("<=", "<"):
-        return mean <= bound + slack
-    if direction == "=":
-        return abs(mean - bound) <= slack
-    raise ValueError(f"bad direction {direction!r}")
+    return bound_holds(mean, bound, direction, slack=3.0 * stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +293,8 @@ def _mc_pass(mean: float, stderr: float, bound: float, direction: str) -> bool:
 def preset_thm2_realizable(seed: int, trials: int | None = None, T: int | None = None) -> Report:
     """Capacity learner on realizable single-label bandit runs: every run stays
     strictly below 4*k*ln(k)*ldim(H)."""
-    trials = trials or 50
-    T = T or 24
+    trials = 50 if trials is None else trials
+    T = 24 if T is None else T
     rows = []
     for spec in ("full:1x2", "full:1x3", "full:2x2", "full:2x3", "perm:1x3"):
         fc = catalog.parse_spec(spec)
@@ -322,22 +330,22 @@ def preset_thm2_realizable(seed: int, trials: int | None = None, T: int | None =
 
 
 def preset_thm3_agnostic(seed: int, trials: int | None = None, T: int | None = None) -> Report:
-    """Expert pool + exponential-weights pipeline: mean regret within
+    """Deviation experts + exponential-weights pipeline: mean regret within
     e*sqrt(k*T*ldim(H)*ln(T*k)), and the best expert never loses to the best
     hypothesis."""
-    trials = trials or 50
-    T = T or 200
+    trials = 50 if trials is None else trials
+    T = 200 if T is None else T
     rows = []
     notes = []
     ss = np.random.SeedSequence(seed)
     for spec in ("full:1x3", "full:2x3"):
         fc = catalog.parse_spec(spec)
         k, L = fc.k, ldim(fc.full_space())
-        pool = pool_for(fc, T)
         bound = math.e * math.sqrt(k * T * L * math.log(T * k))
-        if not learners.expert_count_bound_holds(T, k, L):
+        if not expert_count_bound_holds(T, k, L):
             notes.append(
-                f"{spec}: exact expert count {pool.count} exceeds (T*k)^ldim; known small-horizon artifact"
+                f"{spec}: exact expert count {expert_count(T, k, L)} exceeds (T*k)^ldim; "
+                "known small-horizon artifact"
             )
         for adversary in ("random-realizable:1", "noise:1"):
             regrets = []
@@ -350,11 +358,14 @@ def preset_thm3_agnostic(seed: int, trials: int | None = None, T: int | None = N
                 else:
                     seq, _ = sample_realizable_sequence(fc, T, adv_rng)
                 err = fc.full_space().class_error(seq)
-                mistakes, best_expert = run_exp4_on_sequence(
-                    pool, seq, np.random.default_rng(lrn_ss)
-                )
-                regrets.append(mistakes - err)
-                excess.append(best_expert - err)
+                learner = make_learner("exp4", fc, T)
+                lrn_rng = np.random.default_rng(lrn_ss)
+                for ex in seq:
+                    prediction = learner.predict(ex.x, lrn_rng)
+                    feedback = BanditFeedback(prediction in ex.allowed)
+                    learner = learner.update(ex.x, prediction, feedback)
+                regrets.append(learner.mistakes - err)
+                excess.append(best_expert_loss(fc, seq) - err)
             mean, se = _mean_stderr(regrets)
             rows.append(
                 ReportRow(
@@ -381,9 +392,9 @@ def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = Non
     """Margin constructions: exact gaps and norms, Perceptron runs within
     2*D^2, and the block-bijection schedule forces its floor on a bandit
     linear learner."""
-    trials = trials or 2000
+    trials = 2000 if trials is None else trials
     runs_per_construction = 100
-    stream_len = T or 60
+    stream_len = 60 if T is None else T
     rows = []
     notes = []
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -508,7 +519,7 @@ def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = Non
 def preset_claim_guessing(seed: int, trials: int | None = None, T: int | None = None) -> Report:
     """Hidden-label guessing game: every strategy averages at least (k-1)/2
     wrong guesses; the non-repeating strategy attains it exactly."""
-    trials = trials or 100_000
+    trials = 100_000 if trials is None else trials
     rows = []
     ss = np.random.SeedSequence(seed)
     for k in range(2, 9):
@@ -561,7 +572,7 @@ def preset_claim_permutation(seed: int, trials: int | None = None, T: int | None
     """Block-bijection schedule: every bandit learner averages at least
     delta*(k-1)*k/4 mistakes.  Deterministic learners are replayed from a
     per-tape cache, since the tape fixes the whole game."""
-    trials = trials or 10_000
+    trials = 10_000 if trials is None else trials
     rows = []
     for delta, k in ((1, 3), (2, 4)):
         fc = catalog.permutation_class(delta, k)
@@ -610,8 +621,6 @@ def preset_dim_ratio(seed: int, trials: int | None = None, T: int | None = None)
     fc = catalog.full_class(2, 2)
     envelope = 4.0 * fc.k * math.log(fc.k)
     for mask in catalog.all_nonempty_submasks(fc):
-        from .hypotheses import VersionSpace
-
         space = VersionSpace(fc, mask)
         l, bl = ldim(space), bldim(space)
         rows.append(
@@ -658,8 +667,12 @@ PRESETS = {
 def run_experiment(
     preset: str, seed: int | None = None, trials: int | None = None, T: int | None = None
 ) -> Report:
+    """Run a preset; trials and T left as None take the preset's defaults."""
     try:
         fn = PRESETS[preset]
     except KeyError:
         raise ValueError(f"unknown preset {preset!r}; known: {', '.join(sorted(PRESETS))}")
+    for name, value in (("trials", trials), ("T", T)):
+        if value is not None and (type(value) is not int or value <= 0):
+            raise ValueError(f"{name} must be a positive int, got {value!r}")
     return fn(seed if seed is not None else PRESET_SEED, trials=trials, T=T)

@@ -26,8 +26,8 @@ class FiniteClass:
 
     Duplicate rows are dropped at construction (first occurrence kept): they
     change no dimension, error count, or learner behaviour.  Instances are
-    immutable by convention; per-class caches (dimension memos, expert-pool
-    state tables) hang off the object so memoization stays scoped to one class.
+    immutable by convention; per-class dimension and shattering memos hang off
+    the object so memoization stays scoped to one class.
     """
 
     def __init__(self, name: str, n: int, k: int, rows: Iterable[Sequence[int]]):
@@ -65,7 +65,6 @@ class FiniteClass:
         self.ldim_cache: dict[int, int] = {}
         self.bldim_cache: dict[int, int] = {}
         self.shatter_cache: dict[tuple, object] = {}
-        self.pool_cache: dict[tuple, object] = {}
 
     def eq_mask(self, x: int, y: int) -> int:
         """Bitmask of hypotheses with h(x) == y."""

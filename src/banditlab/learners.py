@@ -13,8 +13,7 @@ learners expose
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations, product
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -44,9 +43,13 @@ class BanditFeedback:
 
 def soa_prediction(space: VersionSpace, x: int) -> int:
     """Label whose matching restriction keeps the largest dimension (ties: smallest label)."""
+    return _soa_label_mask(space.cls, space.mask, x)
+
+
+def _soa_label_mask(fc: FiniteClass, mask: int, x: int) -> int:
     best_y, best_d = 0, -2
-    for y in range(space.cls.k):
-        d = ldim(space.restrict_eq(x, y))
+    for y in range(fc.k):
+        d = _ldim_mask(fc, mask & fc.eq_mask(x, y))
         if d > best_d:
             best_y, best_d = y, d
     return best_y
@@ -283,15 +286,9 @@ class RandomLearner:
 # deviation experts and the exponential-weights bandit aggregator
 # ---------------------------------------------------------------------------
 
-DEFAULT_EXPERT_CAP = 10**6
-
-
-class EnumerationCapExceeded(ValueError):
-    """The expert pool for (class, horizon) would be too large to materialize."""
-
 
 def expert_count(T: int, k: int, L: int) -> int:
-    """Exact number of deviation experts: sum_{j<=L} C(T,j) * k^j."""
+    """Exact number of deviation experts: sum_{j<=L} C(T,j) * k^j (0 for L < 0)."""
     return sum(math.comb(T, j) * k**j for j in range(L + 1))
 
 
@@ -303,6 +300,12 @@ def expert_count_bound_holds(T: int, k: int, L: int) -> bool:
     artifact, not an error.
     """
     return expert_count(T, k, L) <= (T * k) ** L
+
+
+def exp4_gamma(T: int, k: int, L: int) -> float:
+    """Exp4's exploration rate over the expert_count(T, k, L) deviation experts."""
+    count = expert_count(T, k, L)
+    return min(1.0, math.sqrt(k * math.log(count) / ((math.e - 1) * T)))
 
 
 @dataclass(frozen=True)
@@ -331,15 +334,6 @@ class Expert:
         return out
 
 
-def _soa_label_mask(fc: FiniteClass, mask: int, x: int) -> int:
-    best_y, best_d = 0, -2
-    for y in range(fc.k):
-        d = _ldim_mask(fc, mask & fc.eq_mask(x, y))
-        if d > best_d:
-            best_y, best_d = y, d
-    return best_y
-
-
 def imitating_expert(fc: FiniteClass, xs, labels) -> Expert:
     """The expert that replays a target labeling: deviations at the rounds where
     the plain dimension-maximizing learner would have erred against it."""
@@ -353,200 +347,110 @@ def imitating_expert(fc: FiniteClass, xs, labels) -> Expert:
     return Expert(tuple(rounds), tuple(forced))
 
 
-class ExpertsPool:
-    """All deviation experts for one (class, horizon), simulated jointly.
-
-    Individual expert simulations collapse onto a small set of distinct
-    version-space states, so advising the whole pool is a couple of array
-    lookups per round instead of one simulation per expert.  The state tables
-    are lazily filled caches (idempotent writes); per-game data (weights,
-    state ids) lives in Exp4Learner.
-    """
-
-    def __init__(self, fc: FiniteClass, T: int, cap: int = DEFAULT_EXPERT_CAP):
-        self.fc = fc
-        self.T = T
-        self.L = ldim(fc.full_space())
-        self.count = expert_count(T, fc.k, self.L)
-        if self.count > cap:
-            raise EnumerationCapExceeded(
-                f"{self.count} experts for T={T}, ldim={self.L} exceed the cap {cap}"
-            )
-        self.gamma = min(
-            1.0, math.sqrt(fc.k * math.log(self.count) / ((math.e - 1) * T))
-        )
-        per_round_idx: list[list[int]] = [[] for _ in range(T)]
-        per_round_lbl: list[list[int]] = [[] for _ in range(T)]
-        specs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        i = 0
-        for j in range(self.L + 1):
-            for rounds in combinations(range(T), j):
-                for labels in product(range(fc.k), repeat=j):
-                    specs.append((rounds, labels))
-                    for t, y in zip(rounds, labels):
-                        per_round_idx[t].append(i)
-                        per_round_lbl[t].append(y)
-                    i += 1
-        self._specs = specs
-        self._overrides = [
-            (np.asarray(ix, dtype=np.int64), np.asarray(lb, dtype=np.int8))
-            for ix, lb in zip(per_round_idx, per_round_lbl)
-        ]
-        # version-space state tables, lazily filled
-        self._masks: list[int] = [fc.full_mask]
-        self._index: dict[int, int] = {fc.full_mask: 0}
-        self._soa = np.full((8, fc.n), -1, dtype=np.int16)
-        self._trans = np.full((8, fc.n, fc.k), -1, dtype=np.int32)
-
-    def expert(self, i: int) -> Expert:
-        rounds, labels = self._specs[i]
-        return Expert(rounds, labels)
-
-    def fresh_state_ids(self) -> np.ndarray:
-        return np.zeros(self.count, dtype=np.int32)
-
-    def fresh_weights(self) -> np.ndarray:
-        return np.full(self.count, 1.0 / self.count)
-
-    def _state_id(self, mask: int) -> int:
-        sid = self._index.get(mask)
-        if sid is None:
-            sid = len(self._masks)
-            self._masks.append(mask)
-            self._index[mask] = sid
-            if sid >= self._soa.shape[0]:
-                grow = self._soa.shape[0]
-                self._soa = np.concatenate(
-                    [self._soa, np.full((grow, self.fc.n), -1, dtype=np.int16)]
-                )
-                self._trans = np.concatenate(
-                    [self._trans, np.full((grow, self.fc.n, self.fc.k), -1, dtype=np.int32)]
-                )
-        return sid
-
-    def advice(self, state_ids: np.ndarray, t: int, x: int) -> np.ndarray:
-        """Advice of every expert at round t on instance x."""
-        for sid in np.unique(state_ids):
-            if self._soa[sid, x] < 0:
-                self._soa[sid, x] = _soa_label_mask(self.fc, self._masks[sid], x)
-        adv = self._soa[state_ids, x].astype(np.int8)
-        idx, lbl = self._overrides[t]
-        adv[idx] = lbl
-        return adv
-
-    def advance(self, state_ids: np.ndarray, x: int, advice: np.ndarray) -> np.ndarray:
-        """Next simulation state of every expert after advising on x."""
-        nxt = self._trans[state_ids, x, advice]
-        missing = nxt < 0
-        if missing.any():
-            codes = state_ids[missing].astype(np.int64) * self.fc.k + advice[missing]
-            for code in np.unique(codes):
-                sid, y = divmod(int(code), self.fc.k)
-                self._trans[sid, x, y] = self._state_id(
-                    self._masks[sid] & self.fc.eq_mask(x, int(y))
-                )
-            nxt = self._trans[state_ids, x, advice]
-        return nxt.astype(np.int32)
+# An expert's advice at a round depends only on its simulated version space and
+# on whether it deviates there, so experts that share a past -- a state
+# (mask, deviations used j) -- differ only in their future deviation plans.
+# The dynamic programs below therefore keep one number per state instead of
+# one per expert.
 
 
-def pool_for(fc: FiniteClass, T: int, cap: int = DEFAULT_EXPERT_CAP) -> ExpertsPool:
-    """Pool shared per (class, horizon); building one is the expensive part."""
-    key = (T, cap)
-    pool = fc.pool_cache.get(key)
-    if pool is None:
-        pool = ExpertsPool(fc, T, cap)
-        fc.pool_cache[key] = pool
-    return pool
+def _moves(fc: FiniteClass, L: int, mask: int, j: int, x: int):
+    """(advised label, next state) for every way a state's experts play x:
+    the SOA label first, then each forced label while deviations remain."""
+    soa = _soa_label_mask(fc, mask, x)
+    yield soa, (mask & fc.eq_mask(x, soa), j)
+    if j < L:
+        for y in range(fc.k):
+            yield y, (mask & fc.eq_mask(x, y), j + 1)
 
 
-def exp4_distribution(
-    weights: np.ndarray, advice: np.ndarray, k: int, gamma: float
-) -> np.ndarray:
-    """Play distribution: weight-averaged advice mixed with gamma of uniform."""
-    by_label = np.bincount(advice, weights=weights, minlength=k)
-    p = (1.0 - gamma) * by_label / weights.sum() + gamma / k
-    return p / p.sum()
-
-
-def exp4_update(
-    weights: np.ndarray,
-    advice: np.ndarray,
-    played: int,
-    p_played: float,
-    correct: bool,
-    k: int,
-    gamma: float,
-) -> np.ndarray:
-    """Importance-weighted exponential update; rescaled to sum 1 for stability."""
-    out = weights.copy()
-    if correct and gamma > 0.0:
-        out[advice == played] *= math.exp(gamma / (k * p_played))
-    return out / out.sum()
+def best_expert_loss(fc: FiniteClass, seq) -> int:
+    """Fewest misses of any deviation expert on seq: the fewest misses of any
+    past leading to each state, extended round by round."""
+    L = ldim(fc.full_space())
+    best = {(fc.full_mask, 0): 0}
+    for ex in seq:
+        nxt: dict[tuple[int, int], int] = {}
+        for (mask, j), loss in best.items():
+            for y, state in _moves(fc, L, mask, j, ex.x):
+                cost = loss + (y not in ex.allowed)
+                if cost < nxt.get(state, cost + 1):
+                    nxt[state] = cost
+        best = nxt
+    return min(best.values())
 
 
 @dataclass(frozen=True, eq=False)
 class Exp4Learner:
-    """Exponential-weights bandit learner over the deviation-expert pool."""
+    """Exponential-weights bandit learner over every deviation expert, exact.
+
+    `weights[(mask, j)]` is the summed weight of the pasts that reach that
+    state; each past stands for the M(r, L-j) = expert_count(r, k, L-j)
+    experts that share it, r being the rounds left.  Weights are rescaled so
+    that the experts' total weight is 1.
+    """
 
     kind: ClassVar[str] = "bandit"
 
-    pool: ExpertsPool
-    weights: np.ndarray
-    state_ids: np.ndarray
+    fc: FiniteClass
+    T: int
+    L: int
+    gamma: float
+    weights: dict[tuple[int, int], float]
     t: int = 0
     mistakes: int = 0
 
     @classmethod
-    def for_class(cls, fc: FiniteClass, T: int, cap: int = DEFAULT_EXPERT_CAP) -> "Exp4Learner":
-        pool = pool_for(fc, T, cap)
-        return cls(pool, pool.fresh_weights(), pool.fresh_state_ids())
+    def for_class(cls, fc: FiniteClass, T: int) -> "Exp4Learner":
+        L = ldim(fc.full_space())
+        weights = {(fc.full_mask, 0): 1.0 / expert_count(T, fc.k, L)}
+        return cls(fc, T, L, exp4_gamma(T, fc.k, L), weights)
+
+    def _shares(self) -> list[int]:
+        """Experts per past with j deviations used, by j (0 past L): each
+        past's continuations over the rounds after this one."""
+        if self.t >= self.T:
+            raise ValueError(f"exp4 was set up for {self.T} rounds")
+        r = self.T - self.t - 1
+        return [expert_count(r, self.fc.k, self.L - j) for j in range(self.L + 2)]
+
+    def advice_weights(self, x: int) -> np.ndarray:
+        """Total weight of the experts advising each label on x this round:
+        a past's followers advise its SOA label, its deviators every label."""
+        shares = self._shares()
+        by_label = np.zeros(self.fc.k)
+        deviating = 0.0
+        for (mask, j), w in self.weights.items():
+            by_label[_soa_label_mask(self.fc, mask, x)] += w * shares[j]
+            deviating += w * shares[j + 1]
+        return by_label + deviating
+
+    def distribution(self, x: int) -> np.ndarray:
+        """Play distribution: weight-averaged advice mixed with gamma of uniform."""
+        by_label = self.advice_weights(x)
+        p = (1.0 - self.gamma) * by_label / by_label.sum() + self.gamma / self.fc.k
+        return p / p.sum()
 
     def predict(self, x: int, rng) -> int:
-        advice = self.pool.advice(self.state_ids, self.t, x)
-        p = exp4_distribution(self.weights, advice, self.pool.fc.k, self.pool.gamma)
-        return int(rng.choice(self.pool.fc.k, p=p))
+        return int(rng.choice(self.fc.k, p=self.distribution(x)))
 
     def update(self, x: int, prediction: int, feedback: BanditFeedback) -> "Exp4Learner":
-        advice = self.pool.advice(self.state_ids, self.t, x)
-        p = exp4_distribution(self.weights, advice, self.pool.fc.k, self.pool.gamma)
-        weights = exp4_update(
-            self.weights,
-            advice,
-            prediction,
-            float(p[prediction]),
-            feedback.correct,
-            self.pool.fc.k,
-            self.pool.gamma,
+        """Importance-weighted exponential update of the experts that advised
+        the played label, when it was correct."""
+        k = self.fc.k
+        boost = 1.0
+        if feedback.correct and self.gamma > 0.0:
+            boost = math.exp(self.gamma / (k * self.distribution(x)[prediction]))
+        weights: dict[tuple[int, int], float] = {}
+        for (mask, j), w in self.weights.items():
+            for y, state in _moves(self.fc, self.L, mask, j, x):
+                weights[state] = weights.get(state, 0.0) + (w * boost if y == prediction else w)
+        shares = self._shares()
+        total = sum(w * shares[j] for (_, j), w in weights.items())
+        weights = {state: w / total for state, w in weights.items()}
+        return replace(
+            self, weights=weights, t=self.t + 1, mistakes=self.mistakes + (not feedback.correct)
         )
-        state_ids = self.pool.advance(self.state_ids, x, advice)
-        return Exp4Learner(
-            self.pool, weights, state_ids, self.t + 1, self.mistakes + (not feedback.correct)
-        )
-
-
-def run_exp4_on_sequence(pool: ExpertsPool, seq, rng) -> tuple[int, int]:
-    """One bandit game of the pool against a fixed sequence.
-
-    Returns (learner mistakes, best single expert's true loss); the latter is
-    tracked across the whole pool, which run_game cannot do cheaply.
-    """
-    k = pool.fc.k
-    weights = pool.fresh_weights()
-    state_ids = pool.fresh_state_ids()
-    losses = np.zeros(pool.count, dtype=np.int64)
-    mistakes = 0
-    for t, ex in enumerate(seq):
-        advice = pool.advice(state_ids, t, ex.x)
-        p = exp4_distribution(weights, advice, k, pool.gamma)
-        played = int(rng.choice(k, p=p))
-        correct = played in ex.allowed
-        mistakes += not correct
-        weights = exp4_update(weights, advice, played, float(p[played]), correct, k, pool.gamma)
-        state_ids = pool.advance(state_ids, ex.x, advice)
-        good = np.zeros(k, dtype=bool)
-        good[list(ex.allowed)] = True
-        losses += ~good[advice]
-    return mistakes, int(losses.min())
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +471,9 @@ LEARNER_NAMES = (
 
 def make_learner(name: str, fc: FiniteClass, T: int):
     """Fresh learner instance by CLI name (constant takes an optional :label)."""
-    base, _, arg = name.partition(":")
+    base, sep, arg = name.partition(":")
+    if sep and base != "constant" and base in LEARNER_NAMES:
+        raise ValueError(f"learner {base!r} takes no argument, got {name!r}")
     if base == "soa":
         return SOALearner.for_class(fc)
     if base == "capacity":
@@ -577,8 +483,7 @@ def make_learner(name: str, fc: FiniteClass, T: int):
     if base == "bsoa":
         return BanditOptimalLearner.for_class(fc)
     if base == "exp4":
-        cap = int(arg) if arg else DEFAULT_EXPERT_CAP
-        return Exp4Learner.for_class(fc, T, cap)
+        return Exp4Learner.for_class(fc, T)
     if base == "constant":
         label = int(arg) if arg else 0
         fc.check_label(label)

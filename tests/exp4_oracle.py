@@ -1,0 +1,66 @@
+"""Brute-force Exp4 over the enumerated deviation experts.
+
+Every expert (at most ldim(H) deviation rounds, each with a forced label) is
+replayed on its own with `Expert.advice_sequence`, and exponential weights run
+per expert in numpy.  This is the slow route the learners' dynamic program is
+checked against; keep it to small horizons.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import combinations, product
+
+import numpy as np
+
+from banditlab import Expert, ldim
+
+
+def enumerate_experts(fc, T: int) -> list[Expert]:
+    L = ldim(fc.full_space())
+    return [
+        Expert(rounds, labels)
+        for j in range(L + 1)
+        for rounds in combinations(range(T), j)
+        for labels in product(range(fc.k), repeat=j)
+    ]
+
+
+@dataclass
+class OracleGame:
+    experts: int
+    gamma: float
+    distributions: list[np.ndarray]  # play distribution per round
+    plays: list[int]
+    mistakes: int
+    best_expert_loss: int
+
+
+def play_oracle(fc, seq, T: int, rng) -> OracleGame:
+    """Exp4 with the exploration rate min(1, sqrt(k ln N / ((e-1) T))) over the
+    N enumerated experts, played against seq with rng."""
+    k = fc.k
+    experts = enumerate_experts(fc, T)
+    xs = [ex.x for ex in seq]
+    advice = np.array([e.advice_sequence(fc, xs) for e in experts], dtype=np.int64).reshape(
+        len(experts), len(xs)
+    )
+    gamma = min(1.0, math.sqrt(k * math.log(len(experts)) / ((math.e - 1) * T)))
+    weights = np.full(len(experts), 1.0 / len(experts))
+    losses = np.zeros(len(experts), dtype=np.int64)
+    distributions, plays = [], []
+    for t, ex in enumerate(seq):
+        adv = advice[:, t]
+        by_label = np.bincount(adv, weights=weights, minlength=k)
+        p = (1.0 - gamma) * by_label / weights.sum() + gamma / k
+        p = p / p.sum()
+        played = int(rng.choice(k, p=p))
+        if played in ex.allowed and gamma > 0.0:
+            weights[adv == played] *= math.exp(gamma / (k * p[played]))
+        weights /= weights.sum()
+        losses += ~np.isin(adv, list(ex.allowed))
+        distributions.append(p)
+        plays.append(played)
+    mistakes = sum(y not in ex.allowed for y, ex in zip(plays, seq))
+    return OracleGame(len(experts), gamma, distributions, plays, mistakes, int(losses.min()))

@@ -1,0 +1,33 @@
+import pytest
+
+from banditlab import cli, harness
+
+
+PLAY = [
+    "play", "--class", "full:1x3", "--learner", "capacity", "--adversary", "minimax",
+    "--T", "6", "--trials", "2",
+]
+
+
+def test_play_exit_code_follows_the_bound(monkeypatch, capsys):
+    assert cli.main(PLAY) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["0,2,2.0,true", "1,2,2.0,true"]
+    monkeypatch.setattr(harness, "play_bound", lambda cfg, fc: (-1.0, "<="))
+    assert cli.main(PLAY) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["0,2,-1.0,false", "1,2,-1.0,false"]
+
+
+def test_play_without_a_bound_exits_zero(capsys):
+    args = ["play", "--class", "full:1x3", "--learner", "cycling", "--adversary", "noise:1", "--T", "4"]
+    assert cli.main(args) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.startswith("0,") and row.endswith(",,")
+
+
+def test_experts_counts_without_enumerating(capsys):
+    assert cli.main(["experts", "--class", "full:4x2", "--T", "1000"]) == 0
+    out = capsys.readouterr().out
+    assert "experts: 664005332001 " in out
+    assert "gamma = " in out
+    with pytest.raises(SystemExit):
+        cli.main(["experts", "--class", "full:1x3", "--T", "10", "--cap", "100"])

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from banditlab import full_class, permutation_class, run_experiment, run_game
-from banditlab.harness import CSV_COLUMNS, GameConfig, play_bound, resolve_class
+from banditlab.harness import (
+    CSV_COLUMNS,
+    PRESETS,
+    GameConfig,
+    bound_holds,
+    play_bound,
+    resolve_class,
+)
 from banditlab.hypotheses import dumps_class
 
 
@@ -100,3 +107,22 @@ def test_preset_seeds_change_measurements():
     b = run_experiment("thm2-realizable", seed=2, trials=8)
     assert a.all_pass and b.all_pass
     assert a.to_csv() != b.to_csv()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize(
+    "counts", [{"trials": 0}, {"T": 0}, {"trials": -3}, {"T": True}, {"trials": 2.0}, {"T": "5"}]
+)
+def test_run_experiment_rejects_counts_that_are_not_positive_ints(preset, counts):
+    with pytest.raises(ValueError):
+        run_experiment(preset, **counts)
+
+
+def test_bound_holds_in_every_direction():
+    assert bound_holds(2, 2, ">=") and not bound_holds(1, 2, ">=")
+    assert bound_holds(1, 2, "<") and not bound_holds(2, 2, "<")
+    assert bound_holds(2, 2, "<=") and not bound_holds(3, 2, "<=")
+    assert bound_holds(2.5, 2, "=", slack=0.5) and not bound_holds(2.5, 2, "=")
+    assert bound_holds(1.5, 2, ">=", slack=0.5) and bound_holds(2.5, 2, "<", slack=0.6)
+    with pytest.raises(ValueError):
+        bound_holds(1, 1, "info")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditlab import (
     BanditFeedback,
@@ -12,6 +14,7 @@ from banditlab import (
     RealizabilityViolation,
     SOALearner,
     bandit_potential,
+    best_expert_loss,
     bldim,
     capacity,
     expert_count,
@@ -20,17 +23,14 @@ from banditlab import (
     ldim,
     make_learner,
     make_sequence,
-    pool_for,
-    run_exp4_on_sequence,
+    run_game,
     sample_realizable_sequence,
     soa_prediction,
 )
-from banditlab.learners import (
-    EnumerationCapExceeded,
-    exp4_distribution,
-    expert_count_bound_holds,
-)
+from banditlab.harness import GameConfig
+from banditlab.learners import expert_count_bound_holds
 from corpus_util import named_corpus
+from exp4_oracle import enumerate_experts, play_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -198,27 +198,48 @@ def test_expert_count_examples():
 
 def test_singleton_class_has_one_expert_following_it():
     fc = FiniteClass("one", 2, 3, [[2, 1]])
-    pool = pool_for(fc, 5)
-    assert pool.count == 1
-    expert = pool.expert(0)
+    assert expert_count(5, fc.k, ldim(fc.full_space())) == 1
+    (expert,) = enumerate_experts(fc, 5)
     xs = [0, 1, 0, 1, 0]
     assert expert.advice_sequence(fc, xs) == [2, 1, 2, 1, 2]
 
 
+def play_exp4(fc, seq, T, rng):
+    """The dynamic-program learner against seq; returns it and its per-round
+    play distributions."""
+    learner = Exp4Learner.for_class(fc, T)
+    distributions = []
+    for ex in seq:
+        distributions.append(learner.distribution(ex.x))
+        pred = learner.predict(ex.x, rng)
+        learner = learner.update(ex.x, pred, BanditFeedback(pred in ex.allowed))
+    return learner, distributions
+
+
+def assert_matches_oracle(fc, seq, T, seed):
+    learner, distributions = play_exp4(fc, seq, T, np.random.default_rng(seed))
+    oracle = play_oracle(fc, seq, T, np.random.default_rng(seed))
+    assert oracle.experts == expert_count(T, fc.k, learner.L)
+    assert learner.gamma == oracle.gamma
+    for p, q in zip(distributions, oracle.distributions):
+        assert np.max(np.abs(p - q)) <= 1e-9
+    assert learner.mistakes == oracle.mistakes
+    assert best_expert_loss(fc, seq) == oracle.best_expert_loss
+
+
 def test_pool_advice_matches_expert_simulation():
+    # wrong answers leave every expert's weight at 1/N, so the summed advice
+    # weights are the enumerated experts' advice counts over N
     fc = full_class(2, 2)
     T = 4
-    pool = pool_for(fc, T)
     xs = [0, 1, 1, 0]
-    state_ids = pool.fresh_state_ids()
-    matrix = []
+    experts = enumerate_experts(fc, T)
+    advice = np.array([e.advice_sequence(fc, xs) for e in experts])
+    learner = Exp4Learner.for_class(fc, T)
     for t, x in enumerate(xs):
-        advice = pool.advice(state_ids, t, x)
-        matrix.append([int(a) for a in advice])
-        state_ids = pool.advance(state_ids, x, advice)
-    for i in range(pool.count):
-        expert = pool.expert(i)
-        assert expert.advice_sequence(fc, xs) == [matrix[t][i] for t in range(T)]
+        counts = np.bincount(advice[:, t], minlength=fc.k)
+        assert learner.advice_weights(x) * len(experts) == pytest.approx(counts, abs=1e-9)
+        learner = learner.update(x, 0, BanditFeedback(False))
 
 
 def test_imitating_expert_replays_the_hypothesis():
@@ -235,20 +256,21 @@ def test_imitating_expert_replays_the_hypothesis():
 
 def test_best_expert_never_beats_by_less_than_the_class():
     fc = full_class(2, 2)
-    pool = pool_for(fc, 8)
     rng = np.random.default_rng(5)
     for _ in range(6):
         seq = make_sequence(
             [(int(rng.integers(fc.n)), {int(rng.integers(fc.k))}) for _ in range(8)]
         )
-        _, best = run_exp4_on_sequence(pool, seq, np.random.default_rng(1))
+        best = best_expert_loss(fc, seq)
         assert best <= fc.full_space().class_error(seq)
+        assert best == play_oracle(fc, seq, 8, np.random.default_rng(1)).best_expert_loss
 
 
-def test_enumeration_cap_is_enforced():
-    fc = full_class(2, 3)
-    with pytest.raises(EnumerationCapExceeded):
-        pool_for(fc, 200, cap=1000)
+def test_exp4_plays_a_class_with_hundreds_of_millions_of_experts():
+    fc = full_class(3, 3)
+    assert expert_count(400, fc.k, ldim(fc.full_space())) > 2 * 10**8
+    (transcript,) = run_game(GameConfig(fc, "exp4", "noise:1", T=400, trials=1, seed=3))
+    assert len(transcript.rounds) == 400
 
 
 # ---------------------------------------------------------------------------
@@ -258,55 +280,78 @@ def test_enumeration_cap_is_enforced():
 
 def test_single_expert_pool_follows_it_exactly():
     fc = FiniteClass("one", 1, 3, [[2]])
-    pool = pool_for(fc, 6)
-    assert pool.gamma == 0.0
+    learner = Exp4Learner.for_class(fc, 6)
+    assert learner.gamma == 0.0
     seq = make_sequence([(0, {2})] * 6)
-    mistakes, best = run_exp4_on_sequence(pool, seq, np.random.default_rng(0))
-    assert mistakes == 0 and best == 0
+    learner, _ = play_exp4(fc, seq, 6, np.random.default_rng(0))
+    assert learner.mistakes == 0 and best_expert_loss(fc, seq) == 0
+    oracle = play_oracle(fc, seq, 6, np.random.default_rng(0))
+    assert oracle.experts == 1 and oracle.mistakes == 0 and oracle.best_expert_loss == 0
 
 
 def test_uniform_advice_mixture():
-    weights = np.array([0.25, 0.5, 0.25])
-    advice = np.array([1, 1, 1], dtype=np.int8)
-    p = exp4_distribution(weights, advice, k=3, gamma=0.3)
-    assert p[1] == pytest.approx(0.7 + 0.1)
-    assert p[0] == pytest.approx(0.1)
+    # round 0 on full:1x3, T=20: of the 61 experts, the 58 that do not deviate
+    # at round 0 follow SOA's label 0 and one deviates to each label
+    fc = full_class(1, 3)
+    learner = Exp4Learner.for_class(fc, 20)
+    gamma = learner.gamma
+    assert 0.0 < gamma < 1.0
+    assert learner.advice_weights(0) * 61 == pytest.approx([59, 1, 1])
+    p = learner.distribution(0)
+    assert p[0] == pytest.approx((1 - gamma) * 59 / 61 + gamma / 3)
+    assert p[1] == pytest.approx((1 - gamma) / 61 + gamma / 3)
     assert p.sum() == pytest.approx(1.0)
 
 
 def test_exp4_learner_matches_sequence_runner():
     fc = full_class(1, 3)
     T = 30
-    pool = pool_for(fc, T)
-    rng = np.random.default_rng(77)
-    seq, _ = sample_realizable_sequence(fc, T, rng)
-    mistakes_runner, _ = run_exp4_on_sequence(pool, seq, np.random.default_rng(5))
-    learner = Exp4Learner.for_class(fc, T)
-    lrn_rng = np.random.default_rng(5)
-    for ex in seq:
-        pred = learner.predict(ex.x, lrn_rng)
-        learner = learner.update(ex.x, pred, BanditFeedback(pred in ex.allowed))
-    assert learner.mistakes == mistakes_runner
+    seq, _ = sample_realizable_sequence(fc, T, np.random.default_rng(77))
+    assert_matches_oracle(fc, seq, T, seed=5)
+
+
+@st.composite
+def small_games(draw):
+    n, k = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    row = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    T = draw(st.integers(1, 6))
+    labels = st.sets(st.integers(0, k - 1), min_size=1, max_size=k)
+    seq = draw(st.lists(st.tuples(st.integers(0, n - 1), labels), min_size=T, max_size=T))
+    return FiniteClass("drawn", n, k, rows), make_sequence(seq), T, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_games())
+def test_exp4_dynamic_program_matches_enumerated_experts(game):
+    fc, seq, T, seed = game
+    assert_matches_oracle(fc, seq, T, seed)
 
 
 def test_exp4_update_is_pure():
     fc = full_class(1, 2)
     learner = Exp4Learner.for_class(fc, 10)
-    w0 = learner.weights.copy()
+    w0 = dict(learner.weights)
     nxt = learner.update(0, 0, BanditFeedback(True))
-    assert np.array_equal(learner.weights, w0)
+    assert learner.weights == w0 and learner.t == 0
     assert nxt.t == 1
+
+
+def test_exp4_refuses_rounds_past_its_horizon():
+    fc = full_class(1, 2)
+    learner = Exp4Learner.for_class(fc, 1).update(0, 0, BanditFeedback(True))
+    with pytest.raises(ValueError):
+        learner.predict(0, np.random.default_rng(0))
 
 
 def test_make_learner_registry():
     fc = full_class(1, 3)
-    for name in ("soa", "capacity", "soa-bandit", "bsoa", "constant:2", "cycling", "random"):
+    for name in ("soa", "capacity", "soa-bandit", "bsoa", "exp4", "constant:2", "cycling", "random"):
         learner = make_learner(name, fc, 5)
         assert hasattr(learner, "predict")
-    with pytest.raises(ValueError):
-        make_learner("nope", fc, 5)
-    with pytest.raises(ValueError):
-        make_learner("constant:9", fc, 5)
+    for bad in ("nope", "constant:9", "cycling:5", "soa:x", "exp4:1000", "random:"):
+        with pytest.raises(ValueError):
+            make_learner(bad, fc, 5)
 
 
 def test_bsoa_bound_on_realizable_bandit_runs():
