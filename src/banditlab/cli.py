@@ -10,7 +10,7 @@ from pathlib import Path
 from . import harness, linear
 from .dimensions import bldim, format_witness, ldim, shatter_witness
 from .harness import GameConfig, bound_holds, resolve_class, run_experiment, run_game
-from .learners import exp4_gamma, expert_count, expert_count_bound_holds
+from .learners import exp4_gamma, expert_count
 
 
 def _cmd_dim(args) -> int:
@@ -53,11 +53,9 @@ def _cmd_experts(args) -> int:
     fc = resolve_class(args.klass)
     L = ldim(fc.full_space())
     exact = expert_count(args.T, fc.k, L)
-    ceiling = (args.T * fc.k) ** L
+    ceiling = (args.T * fc.k + 1) ** L
     print(f"class {fc.name}: ldim={L}, horizon T={args.T}")
-    print(f"experts: {exact} (ceiling (T*k)^ldim = {ceiling})")
-    if not expert_count_bound_holds(args.T, fc.k, L):
-        print("note: exact count exceeds the ceiling; known small-horizon artifact")
+    print(f"experts: {exact} (ceiling (T*k+1)^ldim = {ceiling})")
     print(f"gamma = {exp4_gamma(args.T, fc.k, L)!r}")
     return 0
 

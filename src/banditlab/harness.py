@@ -344,8 +344,7 @@ def preset_thm3_agnostic(seed: int, trials: int | None = None, T: int | None = N
         bound = math.e * math.sqrt(k * T * L * math.log(T * k))
         if not expert_count_bound_holds(T, k, L):
             notes.append(
-                f"{spec}: exact expert count {expert_count(T, k, L)} exceeds (T*k)^ldim; "
-                "known small-horizon artifact"
+                f"{spec}: exact expert count {expert_count(T, k, L)} exceeds (T*k+1)^ldim"
             )
         for adversary in ("random-realizable:1", "noise:1"):
             regrets = []

@@ -70,6 +70,10 @@ class FiniteClass:
         """Bitmask of hypotheses with h(x) == y."""
         return self._eq[x][y]
 
+    def eq_masks(self, x: int) -> tuple[int, ...]:
+        """eq_mask(x, y) for every label y, in label order."""
+        return self._eq[x]
+
     def check_instance(self, x: int) -> None:
         if not 0 <= x < self.n:
             raise ValueError(f"instance {x} outside [0, {self.n})")
@@ -235,6 +239,13 @@ def _check_sequence(cls: FiniteClass, seq: LabeledSequence) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _int_field(value: object, what: str) -> int:
+    """A JSON integer, or ValueError: floats, strings and bools are not coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_class(text: str) -> FiniteClass:
     """Parse a class document: {"name": ..., "n": ..., "k": ..., "rows": [[...], ...]}."""
     try:
@@ -247,9 +258,10 @@ def load_class(text: str) -> FiniteClass:
         n, k, rows = doc["n"], doc["k"], doc["rows"]
     except KeyError as err:
         raise ValueError(f"class document missing field {err}") from err
-    if not isinstance(rows, list):
-        raise ValueError("class document field 'rows' must be a list")
-    return FiniteClass(doc.get("name", "unnamed"), n, k, rows)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("class document field 'rows' must be a list of lists")
+    table = [[_int_field(v, f"label in row {i}") for v in row] for i, row in enumerate(rows)]
+    return FiniteClass(doc.get("name", "unnamed"), _int_field(n, "n"), _int_field(k, "k"), table)
 
 
 def dumps_class(cls: FiniteClass) -> str:
@@ -280,10 +292,16 @@ def load_sequence(text: str) -> LabeledSequence:
         raise ValueError("malformed sequence document: expected a JSON list")
     out = []
     for i, rec in enumerate(doc):
-        try:
-            out.append(MultiLabelExample(int(rec["x"]), frozenset(rec["allowed"])))
-        except (KeyError, TypeError) as err:
-            raise ValueError(f"bad sequence record {i}: {err}") from err
+        if not isinstance(rec, dict) or "x" not in rec or "allowed" not in rec:
+            raise ValueError(f"bad sequence record {i}: expected an object with 'x' and 'allowed'")
+        x = _int_field(rec["x"], f"record {i} x")
+        allowed = rec["allowed"]
+        if not isinstance(allowed, list):
+            raise ValueError(f"record {i} allowed must be a list of labels, got {allowed!r}")
+        labels = [_int_field(y, f"record {i} label") for y in allowed]
+        if x < 0 or any(y < 0 for y in labels):
+            raise ValueError(f"bad sequence record {i}: instances and labels are nonnegative")
+        out.append(MultiLabelExample(x, frozenset(labels)))
     return tuple(out)
 
 

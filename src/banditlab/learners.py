@@ -293,13 +293,13 @@ def expert_count(T: int, k: int, L: int) -> int:
 
 
 def expert_count_bound_holds(T: int, k: int, L: int) -> bool:
-    """Whether the convenient ceiling (T*k)^L covers the exact count.
+    """Whether the ceiling (T*k + 1)^L covers the exact count.
 
-    The ceiling can be exceeded at very small T (e.g. T=2, k=2, L=1 gives
-    5 > 4); callers should treat a False here as a known small-horizon
-    artifact, not an error.
+    It always does: C(T,j) * k^j <= C(L,j) * (T*k)^j for j <= L, and the
+    right-hand terms sum to (T*k + 1)^L.  The plainer (T*k)^L does not: at
+    L = 1 the count is 1 + T*k.
     """
-    return expert_count(T, k, L) <= (T * k) ** L
+    return expert_count(T, k, L) <= (T * k + 1) ** L
 
 
 def exp4_gamma(T: int, k: int, L: int) -> float:

@@ -27,7 +27,8 @@ def test_play_without_a_bound_exits_zero(capsys):
 def test_experts_counts_without_enumerating(capsys):
     assert cli.main(["experts", "--class", "full:4x2", "--T", "1000"]) == 0
     out = capsys.readouterr().out
-    assert "experts: 664005332001 " in out
+    assert "experts: 664005332001 (ceiling (T*k+1)^ldim = 16032024008001)" in out
+    assert "note" not in out
     assert "gamma = " in out
     with pytest.raises(SystemExit):
         cli.main(["experts", "--class", "full:1x3", "--T", "10", "--cap", "100"])

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditlab import (
     FiniteClass,
@@ -9,10 +12,12 @@ from banditlab import (
     capacity,
     full_class,
     ldim,
+    permutation_class,
     shatter_oracle,
     shatter_witness,
 )
 from corpus_util import enumerated_spaces, random_spaces
+from dims_oracle import oracle_bldim, oracle_ldim
 
 
 # ---------------------------------------------------------------------------
@@ -26,12 +31,14 @@ def test_full_class_dimensions(n, k):
     space = full_class(n, k).full_space()
     assert ldim(space) == n
     assert bldim(space) == (k - 1) * n
+    assert_exact_and_memos_exact(space)
 
 
 def test_singleton_dimensions():
     fc = FiniteClass("one", 2, 3, [[1, 2]])
     assert ldim(fc.full_space()) == 0
     assert bldim(fc.full_space()) == 0
+    assert_exact_and_memos_exact(fc.full_space())
 
 
 def test_empty_space_sentinel():
@@ -54,6 +61,77 @@ def test_full_1x3_bldim_two():
     assert shatter_oracle(space, 2, "BL")
     assert not shatter_oracle(space, 3, "BL")
     assert bldim(space) == 2
+
+
+def test_bldim_of_two_permutation_blocks():
+    # delta * k(k-1)/2, as perm:1x4 = 6; the unpruned recursion does not finish here
+    assert bldim(permutation_class(2, 4).full_space()) == 12
+
+
+# ---------------------------------------------------------------------------
+# the pruned searches against the unpruned recursions
+# ---------------------------------------------------------------------------
+
+
+def assert_exact_and_memos_exact(space):
+    """The pruned ldim and bldim of space equal the unpruned recursions', and so
+    does every memo entry the pruned searches have left on the class."""
+    fc = space.cls
+    for pruned, oracle, memo in (
+        (ldim, oracle_ldim, fc.ldim_cache),
+        (bldim, oracle_bldim, fc.bldim_cache),
+    ):
+        exact: dict[int, int] = {}
+        assert pruned(space) == oracle(fc, space.mask, exact)
+        for mask, value in memo.items():
+            assert value == oracle(fc, mask, exact), (fc.table, bin(mask), pruned.__name__)
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 4))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    return FiniteClass("gen", n, k, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.data())
+def test_pruned_dimensions_match_the_unpruned_recursions(fc, data):
+    assert_exact_and_memos_exact(fc.full_space())
+    # a subspace solved afterwards starts from the memos the full space left
+    mask = data.draw(st.integers(0, fc.full_mask))
+    assert_exact_and_memos_exact(VersionSpace(fc, mask))
+
+
+def test_pruned_dimensions_match_on_seeded_random_tables():
+    # uniform tables of up to 14 rows reach splits that the small examples
+    # hypothesis favours rarely do
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        n, k, size = int(rng.integers(1, 6)), int(rng.integers(2, 5)), int(rng.integers(1, 15))
+        fc = FiniteClass("rand", n, k, rng.integers(0, k, size=(size, n)).tolist())
+        assert_exact_and_memos_exact(fc.full_space())
+
+
+@pytest.mark.parametrize(
+    "rows, k, expected",
+    [
+        ([[1, 0], [1, 1], [1, 2]], 3, (1, 2)),  # every member agrees on x=0
+        ([[a, a, b] for a in range(3) for b in range(3)], 3, (2, 4)),  # x=0, x=1 duplicated
+        ([[0, 1, 1], [1, 0, 0], [1, 1, 1], [0, 0, 0]], 2, (2, 2)),  # x=1, x=2 duplicated
+    ],
+)
+def test_pruned_dimensions_on_edge_cases(rows, k, expected):
+    fc = FiniteClass("edge", len(rows[0]), k, rows)
+    assert (ldim(fc.full_space()), bldim(fc.full_space())) == expected
+    assert_exact_and_memos_exact(fc.full_space())
 
 
 # ---------------------------------------------------------------------------

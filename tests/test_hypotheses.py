@@ -55,6 +55,12 @@ def test_load_keeps_first_occurrence_order():
         class_doc(1, 2, [[0], [2]]),  # label out of range
         class_doc(2, 2, [[0]]),  # wrong row length
         class_doc(1, 1, [[0]]),  # k too small
+        class_doc(True, 2, [[0], [1]]),  # a bool is not a count
+        class_doc(1, 2.0, [[0], [1]]),
+        class_doc(1, 2, [[0], [1.9]]),  # would truncate to label 1
+        class_doc(1, 2, [[0], [False]]),
+        class_doc(1, 2, [[0], ["1"]]),
+        class_doc(1, 2, [0, 1]),  # rows that are not lists
     ],
 )
 def test_load_rejects_bad_documents(doc):
@@ -77,6 +83,32 @@ def test_sequence_roundtrip():
 def test_sequence_rejects_empty_allowed():
     with pytest.raises(ValueError):
         make_sequence([(0, set())])
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [{"x": 0, "allowed": "12"}],  # a string is not a label list
+        [{"x": 0, "allowed": 1}],
+        [{"x": 0, "allowed": [1.0]}],
+        [{"x": 0, "allowed": [True]}],
+        [{"x": 0, "allowed": [-1]}],
+        [{"x": 1.7, "allowed": [0]}],  # would truncate to instance 1
+        [{"x": True, "allowed": [0]}],
+        [{"x": "0", "allowed": [0]}],
+        [{"x": -3, "allowed": [0]}],
+        [{"x": 0}],
+        [[0, [1]]],
+    ],
+)
+def test_load_sequence_rejects_malformed_records(records):
+    with pytest.raises(ValueError):
+        load_sequence(json.dumps(records))
+
+
+def test_load_sequence_reads_a_valid_document():
+    text = json.dumps([{"x": 2, "allowed": [1, 0]}, {"x": 0, "allowed": [3]}])
+    assert load_sequence(text) == make_sequence([(2, {0, 1}), (0, {3})])
 
 
 # ---------------------------------------------------------------------------
@@ -232,3 +264,20 @@ def test_error_realizability_coherence(fc, data):
     )
     v = fc.full_space()
     assert (v.class_error(seq) == 0) == v.is_realizable(seq)
+
+
+@settings(max_examples=40)
+@given(small_classes(), st.data())
+def test_documents_round_trip(fc, data):
+    assert load_class(dumps_class(fc)) == fc
+    pairs = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, fc.n - 1),
+                st.sets(st.integers(0, fc.k - 1), min_size=1),
+            ),
+            max_size=6,
+        )
+    )
+    seq = make_sequence(pairs)
+    assert load_sequence(dumps_sequence(seq)) == seq

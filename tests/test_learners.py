@@ -189,11 +189,21 @@ def test_capacity_learner_raises_on_unrealizable_run():
 
 def test_expert_count_examples():
     assert expert_count(2, 2, 1) == 5
-    assert not expert_count_bound_holds(2, 2, 1)  # 5 > (2*2)^1, small-T artifact
+    assert expert_count_bound_holds(2, 2, 1)  # 5 <= (2*2 + 1)^1
     assert expert_count(10, 3, 0) == 1
     assert expert_count_bound_holds(10, 3, 0)
     assert expert_count(100, 3, 2) == 1 + 300 + math.comb(100, 2) * 9
     assert expert_count_bound_holds(100, 3, 2)
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 3, 5])
+def test_expert_count_ceiling_holds_on_a_grid(L):
+    for T in (1, 2, 3, 7, 50, 200):
+        for k in (2, 3, 5):
+            assert expert_count(T, k, L) <= (T * k + 1) ** L, (T, k, L)
+            assert expert_count_bound_holds(T, k, L)
+    # the plainer (T*k)^L misses 1 + T*k at L = 1, e.g. 601 > 600 at T=200, k=3
+    assert expert_count(200, 3, 1) == 601
 
 
 def test_singleton_class_has_one_expert_following_it():
