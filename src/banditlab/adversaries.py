@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dimensions import bldim
 from .hypotheses import FiniteClass, LabeledSequence, MultiLabelExample
 
@@ -27,6 +29,12 @@ class RoundReply:
 # ---------------------------------------------------------------------------
 # the hidden-label guessing game
 # ---------------------------------------------------------------------------
+#
+# Besides the round-by-round protocol (next_guess/observe), which
+# `guessing_game` plays and which stays the reference, every guesser has
+# `wrong_guesses(hidden)`: the wrong-guess counts of whole games played from
+# its starting state, one per entry of an integer array of hidden labels,
+# computed over the array.
 
 
 class NonRepeatingGuesser:
@@ -48,9 +56,15 @@ class NonRepeatingGuesser:
         elif guess == self._next:
             self._next += 1
 
+    def wrong_guesses(self, hidden: np.ndarray) -> np.ndarray:
+        """Misses on 0..h-1, then hits h; a hidden k-1 is never guessed and
+        costs all k-1 guesses."""
+        return np.minimum(hidden, self.k - 1)
+
 
 class ConstantGuesser:
     def __init__(self, k: int, rng=None, label: int = 0):
+        self.k = k
         self.label = label
 
     def next_guess(self) -> int:
@@ -58,6 +72,9 @@ class ConstantGuesser:
 
     def observe(self, guess: int, correct: bool) -> None:
         pass
+
+    def wrong_guesses(self, hidden: np.ndarray) -> np.ndarray:
+        return (self.k - 1) * (hidden != self.label)
 
 
 class CyclingGuesser:
@@ -73,6 +90,10 @@ class CyclingGuesser:
     def observe(self, guess: int, correct: bool) -> None:
         self.t += 1
 
+    def wrong_guesses(self, hidden: np.ndarray) -> np.ndarray:
+        """Guesses 0..k-2 from a fresh start: misses all but a hidden label below k-1."""
+        return self.k - 1 - (hidden < self.k - 1)
+
 
 class RandomGuesser:
     def __init__(self, k: int, rng=None):
@@ -84,6 +105,11 @@ class RandomGuesser:
 
     def observe(self, guess: int, correct: bool) -> None:
         pass
+
+    def wrong_guesses(self, hidden: np.ndarray) -> np.ndarray:
+        """Draws each game's k-1 guesses in the order next_guess would."""
+        guesses = self.rng.integers(self.k, size=(len(hidden), self.k - 1))
+        return (guesses != hidden[:, None]).sum(axis=1)
 
 
 GUESSER_NAMES = ("nonrepeating", "constant", "cycling", "random")

@@ -17,7 +17,6 @@ from . import adversaries, catalog, linear
 from .adversaries import (
     PermutationAdversary,
     draw_permutation_tape,
-    guessing_game,
     make_adversary,
     make_guesser,
     permutation_floor,
@@ -32,6 +31,7 @@ from .learners import (
     best_expert_loss,
     expert_count,
     expert_count_bound_holds,
+    learner_class,
     make_learner,
 )
 
@@ -142,8 +142,7 @@ def play_bound(cfg: GameConfig, fc: FiniteClass) -> tuple[float, str] | None:
     """The theorem ceiling/floor applicable to a play configuration, if any."""
     lname = cfg.learner.partition(":")[0]
     aname, _, aarg = cfg.adversary.partition(":")
-    deterministic = lname in ("soa", "capacity", "soa-bandit", "bsoa", "constant", "cycling")
-    if aname == "minimax" and deterministic:
+    if aname == "minimax" and learner_class(lname).deterministic:
         return float(min(cfg.T, bldim(fc.full_space()))), ">="
     single_label_realizable = (
         aname in ("guessing", "permutation")
@@ -524,13 +523,10 @@ def preset_claim_guessing(seed: int, trials: int | None = None, T: int | None = 
     for k in range(2, 9):
         for strategy in adversaries.GUESSER_NAMES:
             game_ss, guess_ss = ss.spawn(2)
-            game_rng = np.random.default_rng(game_ss)
-            guess_rng = np.random.default_rng(guess_ss)
-            counts = [
-                guessing_game(k, make_guesser(strategy, k, guess_rng), game_rng)
-                for _ in range(trials)
-            ]
-            mean, se = _mean_stderr(counts)
+            # one draw per game, in game order, as `guessing_game` makes them
+            hidden = np.random.default_rng(game_ss).integers(k, size=trials)
+            guesser = make_guesser(strategy, k, np.random.default_rng(guess_ss))
+            mean, se = _mean_stderr(guesser.wrong_guesses(hidden).tolist())
             bound = (k - 1) / 2
             rows.append(
                 ReportRow(
@@ -555,9 +551,6 @@ def preset_claim_guessing(seed: int, trials: int | None = None, T: int | None = 
     )
 
 
-_DETERMINISTIC = {"capacity", "soa-bandit", "bsoa", "constant", "cycling"}
-
-
 def _permutation_zoo(delta: int, k: int) -> tuple[str, ...]:
     # bsoa needs bandit dimensions of avoid-restrictions, whose state space
     # explodes on product classes; keep it to the single-block config.
@@ -569,33 +562,36 @@ def _permutation_zoo(delta: int, k: int) -> tuple[str, ...]:
 
 def preset_claim_permutation(seed: int, trials: int | None = None, T: int | None = None) -> Report:
     """Block-bijection schedule: every bandit learner averages at least
-    delta*(k-1)*k/4 mistakes.  Deterministic learners are replayed from a
-    per-tape cache, since the tape fixes the whole game."""
+    delta*(k-1)*k/4 mistakes.  Every learner plays the same trials, each a
+    (tape, learner seed) pair drawn once; deterministic learners are replayed
+    from a per-tape cache, since the tape fixes the whole game."""
     trials = 10_000 if trials is None else trials
     rows = []
     for delta, k in ((1, 3), (2, 4)):
         fc = catalog.permutation_class(delta, k)
         horizon = delta * k * (k - 1) // 2
         floor = permutation_floor(delta, k)
+        games = []
+        for child in np.random.SeedSequence(seed).spawn(trials):
+            adv_ss, lrn_ss = child.spawn(2)
+            games.append((draw_permutation_tape(delta, k, np.random.default_rng(adv_ss)), lrn_ss))
         for lname in _permutation_zoo(delta, k):
+            start = make_learner(lname, fc, horizon)  # states are values: every game starts here
             cache: dict[tuple, int] = {}
-            deterministic = lname in _DETERMINISTIC
             counts = []
-            for child in np.random.SeedSequence(seed).spawn(trials):
-                adv_ss, lrn_ss = child.spawn(2)
-                tape = draw_permutation_tape(delta, k, np.random.default_rng(adv_ss))
-                if deterministic and tape in cache:
+            for tape, lrn_ss in games:
+                if start.deterministic and tape in cache:
                     counts.append(cache[tape])
                     continue
                 adversary = PermutationAdversary(fc, delta, tape=tape)
-                learner = make_learner(lname, fc, horizon)
+                learner = start
                 rng = np.random.default_rng(lrn_ss)
                 while (x := adversary.next_instance()) is not None:
                     prediction = learner.predict(x, rng)
                     reply = adversary.respond(prediction)
                     learner = learner.update(x, prediction, BanditFeedback(reply.correct))
                 counts.append(learner.mistakes)
-                if deterministic:
+                if start.deterministic:
                     cache[tape] = learner.mistakes
             mean, se = _mean_stderr(counts)
             rows.append(

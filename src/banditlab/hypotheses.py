@@ -9,9 +9,12 @@ hashable memoization keys.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 Label = int
 Instance = int
@@ -19,6 +22,27 @@ Instance = int
 
 class RealizabilityViolation(RuntimeError):
     """A learner that assumes a realizable run observed evidence against one."""
+
+
+def _int_field(value: object, what: str) -> int:
+    """A Python or numpy integer as an int; bools, floats and strings raise
+    ValueError instead of being coerced."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _label_row(row: tuple, i: int, k: int) -> tuple[int, ...]:
+    """Row i with numpy integers made ints; ValueError for any other label
+    type or a label outside [0, k)."""
+    out = tuple(_int_field(v, f"label in row {i}") for v in row)
+    for v in out:
+        if not 0 <= v < k:
+            raise ValueError(f"row {i} contains label {v} outside [0, {k})")
+    return out
 
 
 class FiniteClass:
@@ -31,19 +55,22 @@ class FiniteClass:
     """
 
     def __init__(self, name: str, n: int, k: int, rows: Iterable[Sequence[int]]):
-        if not isinstance(n, int) or n < 1:
+        n = _int_field(n, "n")
+        if n < 1:
             raise ValueError(f"need at least one instance, got n={n!r}")
-        if not isinstance(k, int) or k < 2:
+        k = _int_field(k, "k")
+        if k < 2:
             raise ValueError(f"need at least two labels, got k={k!r}")
         table: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
         for i, raw in enumerate(rows):
-            row = tuple(int(v) for v in raw)
+            row = tuple(raw)
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected n={n}")
             for v in row:
-                if not 0 <= v < k:
-                    raise ValueError(f"row {i} contains label {v} outside [0, {k})")
+                if type(v) is not int or not 0 <= v < k:
+                    row = _label_row(row, i, k)
+                    break
             if row not in seen:
                 seen.add(row)
                 table.append(row)
@@ -239,13 +266,6 @@ def _check_sequence(cls: FiniteClass, seq: LabeledSequence) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _int_field(value: object, what: str) -> int:
-    """A JSON integer, or ValueError: floats, strings and bools are not coerced."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def load_class(text: str) -> FiniteClass:
     """Parse a class document: {"name": ..., "n": ..., "k": ..., "rows": [[...], ...]}."""
     try:
@@ -260,8 +280,8 @@ def load_class(text: str) -> FiniteClass:
         raise ValueError(f"class document missing field {err}") from err
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("class document field 'rows' must be a list of lists")
-    table = [[_int_field(v, f"label in row {i}") for v in row] for i, row in enumerate(rows)]
-    return FiniteClass(doc.get("name", "unnamed"), _int_field(n, "n"), _int_field(k, "k"), table)
+    # FiniteClass refuses counts and labels that are not integers
+    return FiniteClass(doc.get("name", "unnamed"), n, k, rows)
 
 
 def dumps_class(cls: FiniteClass) -> str:

@@ -5,6 +5,7 @@ a fresh state, so independent rollouts can share a starting state.  All
 learners expose
 
     kind          "full" or "bandit" (which feedback they consume)
+    deterministic whether predict ignores its rng (a class-level trait)
     predict(x, rng) -> label
     update(x, prediction, feedback) -> next state
     mistakes      running count
@@ -65,6 +66,7 @@ class SOALearner:
     """
 
     kind: ClassVar[str] = "full"
+    deterministic: ClassVar[bool] = True
 
     space: VersionSpace
     mistakes: int = 0
@@ -94,6 +96,7 @@ class SOABanditLearner:
     """
 
     kind: ClassVar[str] = "bandit"
+    deterministic: ClassVar[bool] = True
 
     space: VersionSpace
     mistakes: int = 0
@@ -126,6 +129,7 @@ class BanditOptimalLearner:
     """
 
     kind: ClassVar[str] = "bandit"
+    deterministic: ClassVar[bool] = True
 
     space: VersionSpace
     mistakes: int = 0
@@ -193,6 +197,49 @@ def bandit_potential(
     return tuple(selected), tuple(updated), drop
 
 
+def capacity_drops(collection: ClassCollection, x: int) -> list[int]:
+    """Every label's exact drop at x in one pass over a nonempty collection:
+    `capacity_drops(C, x)[y] == bandit_potential(C, x, y)[2]`.
+
+    A member V's restriction dimensions d_y = ldim(V[x=y]) do not depend on
+    the predicted label y0, and V is selected at y0 exactly when no label
+    other than y0 keeps d_y = ldim(V).  At most one label can keep it: two
+    would root a tree one level deeper than ldim(V).  So V counts only for
+    that label when one keeps its dimension, and for every label when none
+    does; where it counts, it adds
+    k^(2 ldim V) - sum over y != y0 with V[x=y] nonempty of k^(2 d_y).
+    """
+    fc = collection[0].cls
+    k = fc.k
+    eqs = fc.eq_masks(x)
+    cache = fc.ldim_cache  # looked up here first: most restrictions are memo hits
+    drops = [0] * k
+    for v in collection:
+        mask = v.mask
+        if not mask:
+            raise ValueError("collections must hold nonempty spaces")
+        dv = cache.get(mask)
+        if dv is None:
+            dv = _ldim_mask(fc, mask)
+        keepers = []  # the label whose restriction keeps ldim(V), if any
+        weights = []  # k^(2 d_y) by label, 0 for an empty restriction
+        for y, eq in enumerate(eqs):
+            sub = mask & eq
+            if sub:
+                d = cache.get(sub)
+                if d is None:
+                    d = _ldim_mask(fc, sub)
+                if d == dv:
+                    keepers.append(y)
+                weights.append(k ** (2 * d))
+            else:
+                weights.append(0)
+        rest = k ** (2 * dv) - sum(weights)  # plus the y0 term, which is not removed
+        for y in keepers or range(k):
+            drops[y] += rest + weights[y]
+    return drops
+
+
 @dataclass(frozen=True)
 class CapacityLearner:
     """Deterministic realizable-case bandit learner driven by the capacity potential.
@@ -202,9 +249,17 @@ class CapacityLearner:
     that drop when told wrong.  Every hypothesis consistent with the feedback
     so far stays inside some member, so on realizable runs the capacity never
     reaches zero and the total mistakes stay below 4*k*ln(k)*ldim(H).
+
+    `predict` reads all k drops from one pass over the collection
+    (`capacity_drops`): a member's restriction dimensions at x are computed
+    once; if one label's restriction keeps the member's dimension, the member
+    counts only for that label, and otherwise for every label.  `update`
+    applies the chosen label's drop through `bandit_potential`, which is also
+    the reference the one-pass drops are tested against.
     """
 
     kind: ClassVar[str] = "bandit"
+    deterministic: ClassVar[bool] = True
 
     collection: ClassCollection
     k: int
@@ -217,12 +272,8 @@ class CapacityLearner:
     def predict(self, x: int, rng=None) -> int:
         if not self.collection:
             raise RealizabilityViolation("capacity exhausted: run was not realizable")
-        best_y, best_drop = 0, -1
-        for y in range(self.k):
-            _, _, drop = bandit_potential(self.collection, x, y)
-            if drop > best_drop:
-                best_y, best_drop = y, drop
-        return best_y
+        drops = capacity_drops(self.collection, x)
+        return drops.index(max(drops))
 
     def update(self, x: int, prediction: int, feedback: BanditFeedback) -> "CapacityLearner":
         if feedback.correct:
@@ -241,6 +292,7 @@ class CapacityLearner:
 @dataclass(frozen=True)
 class ConstantLearner:
     kind: ClassVar[str] = "bandit"
+    deterministic: ClassVar[bool] = True
 
     k: int
     label: int = 0
@@ -256,6 +308,7 @@ class ConstantLearner:
 @dataclass(frozen=True)
 class CyclingLearner:
     kind: ClassVar[str] = "bandit"
+    deterministic: ClassVar[bool] = True
 
     k: int
     t: int = 0
@@ -271,6 +324,7 @@ class CyclingLearner:
 @dataclass(frozen=True)
 class RandomLearner:
     kind: ClassVar[str] = "bandit"
+    deterministic: ClassVar[bool] = False
 
     k: int
     mistakes: int = 0
@@ -391,6 +445,7 @@ class Exp4Learner:
     """
 
     kind: ClassVar[str] = "bandit"
+    deterministic: ClassVar[bool] = False
 
     fc: FiniteClass
     T: int
@@ -457,39 +512,39 @@ class Exp4Learner:
 # registry
 # ---------------------------------------------------------------------------
 
-LEARNER_NAMES = (
-    "soa",
-    "capacity",
-    "soa-bandit",
-    "bsoa",
-    "exp4",
-    "constant",
-    "cycling",
-    "random",
-)
+LEARNERS = {
+    "soa": SOALearner,
+    "capacity": CapacityLearner,
+    "soa-bandit": SOABanditLearner,
+    "bsoa": BanditOptimalLearner,
+    "exp4": Exp4Learner,
+    "constant": ConstantLearner,
+    "cycling": CyclingLearner,
+    "random": RandomLearner,
+}
+LEARNER_NAMES = tuple(LEARNERS)
+
+
+def learner_class(name: str) -> type:
+    """The class a CLI learner name builds, for reading its traits."""
+    try:
+        return LEARNERS[name.partition(":")[0]]
+    except KeyError:
+        raise ValueError(f"unknown learner {name!r}; known: {', '.join(LEARNER_NAMES)}") from None
 
 
 def make_learner(name: str, fc: FiniteClass, T: int):
     """Fresh learner instance by CLI name (constant takes an optional :label)."""
+    cls = learner_class(name)
     base, sep, arg = name.partition(":")
-    if sep and base != "constant" and base in LEARNER_NAMES:
+    if sep and cls is not ConstantLearner:
         raise ValueError(f"learner {base!r} takes no argument, got {name!r}")
-    if base == "soa":
-        return SOALearner.for_class(fc)
-    if base == "capacity":
-        return CapacityLearner.for_class(fc)
-    if base == "soa-bandit":
-        return SOABanditLearner.for_class(fc)
-    if base == "bsoa":
-        return BanditOptimalLearner.for_class(fc)
-    if base == "exp4":
+    if cls is Exp4Learner:
         return Exp4Learner.for_class(fc, T)
-    if base == "constant":
+    if cls is ConstantLearner:
         label = int(arg) if arg else 0
         fc.check_label(label)
         return ConstantLearner(fc.k, label)
-    if base == "cycling":
-        return CyclingLearner(fc.k)
-    if base == "random":
-        return RandomLearner(fc.k)
-    raise ValueError(f"unknown learner {name!r}; known: {', '.join(LEARNER_NAMES)}")
+    if cls in (CyclingLearner, RandomLearner):
+        return cls(fc.k)
+    return cls.for_class(fc)

@@ -176,7 +176,7 @@ def multiclass_perceptron(stream, k: int, d: int) -> PerceptronResult:
     w = np.zeros((k, d))
     mistakes = 0
     for x, y in stream:
-        pred = int(np.argmax(w @ x))
+        pred = int((w @ x).argmax())
         if pred != y:
             mistakes += 1
             w[y] += x
@@ -198,7 +198,7 @@ class BanditPerceptron:
         return cls(np.zeros((k, d)))
 
     def predict(self, x: np.ndarray) -> int:
-        return int(np.argmax(self.weights @ x))
+        return int((self.weights @ x).argmax())
 
     def update(self, x: np.ndarray, prediction: int, correct: bool) -> "BanditPerceptron":
         if correct:

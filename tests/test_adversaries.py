@@ -73,6 +73,36 @@ def test_monte_carlo_agrees_with_the_floor(strategy):
     assert mean >= (k - 1) / 2 - 3 * se
 
 
+class _HiddenLabel:
+    """Stands in for the game's generator: always hides the same label."""
+
+    def __init__(self, label):
+        self.label = label
+
+    def integers(self, k):
+        return self.label
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("strategy", ["nonrepeating", "constant", "cycling"])
+def test_array_guessing_matches_the_scalar_game_on_every_hidden_label(k, strategy):
+    scalar = [guessing_game(k, make_guesser(strategy, k), _HiddenLabel(h)) for h in range(k)]
+    assert make_guesser(strategy, k).wrong_guesses(np.arange(k)).tolist() == scalar
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("strategy", GUESSER_NAMES)
+def test_array_guessing_matches_the_scalar_game_on_equal_streams(k, strategy):
+    trials = 300
+    game_rng, guess_rng = np.random.default_rng(k), np.random.default_rng(100 + k)
+    scalar = [
+        guessing_game(k, make_guesser(strategy, k, guess_rng), game_rng) for _ in range(trials)
+    ]
+    hidden = np.random.default_rng(k).integers(k, size=trials)
+    guesser = make_guesser(strategy, k, np.random.default_rng(100 + k))
+    assert guesser.wrong_guesses(hidden).tolist() == scalar
+
+
 def test_guessing_game_rejects_tiny_k():
     with pytest.raises(ValueError):
         guessing_game(1, make_guesser("constant", 1), np.random.default_rng(0))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -126,3 +128,20 @@ def test_bound_holds_in_every_direction():
     assert bound_holds(1.5, 2, ">=", slack=0.5) and bound_holds(2.5, 2, "<", slack=0.6)
     with pytest.raises(ValueError):
         bound_holds(1, 1, "info")
+
+
+# sha256 of preset CSVs at seed 7, recorded before the presets' games were
+# batched into array operations and shared tapes; any change to a preset's
+# random draw layout, or to what its learners play, moves them
+PINNED_CSV_SHA256 = {
+    ("claim-guessing", 2000): "64e987470d4d877b6cb50661ae5c9b4e666620fe18d94eef63445237d54cce76",
+    ("claim-permutation", 300): "a5884e0a5481788cc840fc625f90febc0f9a72ba365e5fdae4f4b274c0d74330",
+    ("thm4-linear", 100): "22f12db3e9fa9a9de10ca4fb46ad4deadbbc92d3c7c4ce8cf606bee90402eb03",
+    ("thm2-realizable", 10): "102be97181c4f7ee727f2e9bab9aaa6271a2d228b0b5c41d43f7fb6619c1866c",
+}
+
+
+@pytest.mark.parametrize("preset, trials", sorted(PINNED_CSV_SHA256))
+def test_preset_reports_keep_their_pinned_bytes(preset, trials):
+    csv = run_experiment(preset, seed=7, trials=trials).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == PINNED_CSV_SHA256[preset, trials]

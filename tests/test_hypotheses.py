@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +67,36 @@ def test_load_keeps_first_occurrence_order():
 def test_load_rejects_bad_documents(doc):
     with pytest.raises(ValueError):
         load_class(doc)
+
+
+@pytest.mark.parametrize(
+    "n, k, rows",
+    [
+        (True, 2, [[0]]),  # a bool is not a count
+        (1, True, [[0]]),
+        (1.0, 2, [[0]]),
+        (1, 2.0, [[0]]),
+        (1, 2, [[1.9]]),  # would truncate to label 1
+        (1, 2, [[1.0]]),
+        (1, 2, [[True]]),
+        (1, 2, [[np.bool_(False)]]),
+        (1, 2, [["1"]]),
+        (1, 2, [[None]]),
+        (1, 2, [[np.int64(2)]]),  # numpy integer outside [0, k)
+    ],
+)
+def test_finite_class_rejects_what_it_would_coerce(n, k, rows):
+    with pytest.raises(ValueError):
+        FiniteClass("x", n, k, rows)
+
+
+def test_finite_class_accepts_numpy_integers():
+    rows = np.array([[0, 1], [1, 1], [0, 1]])
+    fc = FiniteClass("np", np.int64(2), np.int32(2), rows)
+    assert fc.table == ((0, 1), (1, 1))
+    assert type(fc.n) is int and type(fc.k) is int
+    assert all(type(v) is int for row in fc.table for v in row)
+    assert fc == FiniteClass("np", 2, 2, rows.tolist())
 
 
 def test_class_roundtrip():

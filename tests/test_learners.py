@@ -28,7 +28,12 @@ from banditlab import (
     soa_prediction,
 )
 from banditlab.harness import GameConfig
-from banditlab.learners import expert_count_bound_holds
+from banditlab.learners import (
+    LEARNER_NAMES,
+    capacity_drops,
+    expert_count_bound_holds,
+    learner_class,
+)
 from corpus_util import named_corpus
 from exp4_oracle import enumerate_experts, play_oracle
 
@@ -180,6 +185,36 @@ def test_capacity_learner_raises_on_unrealizable_run():
         for _ in range(5):  # nothing is ever correct: no hypothesis survives
             pred = learner.predict(0)
             learner = learner.update(0, pred, BanditFeedback(False))
+
+
+@st.composite
+def capacity_games(draw):
+    """A generated class (n <= 4, k <= 4) and a single-label run realized by one of its rows."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    row = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    fc = FiniteClass("drawn", n, k, draw(st.lists(row, min_size=1, max_size=14)))
+    target = fc.table[draw(st.integers(0, fc.size - 1))]
+    xs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    return fc, [(x, target[x]) for x in xs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity_games())
+def test_one_pass_drops_match_the_potential_and_capacity_shrinks(game):
+    fc, run = game
+    k = fc.k
+    learner = CapacityLearner.for_class(fc)
+    for x, truth in run:
+        for z in range(fc.n):
+            drops = [bandit_potential(learner.collection, z, y)[2] for y in range(k)]
+            assert capacity_drops(learner.collection, z) == drops
+        drops = [bandit_potential(learner.collection, x, y)[2] for y in range(k)]
+        pred = learner.predict(x)
+        assert pred == max(range(k), key=drops.__getitem__)  # largest drop, smallest label
+        before = capacity(learner.collection)
+        learner = learner.update(x, pred, BanditFeedback(pred == truth))
+        if pred != truth:  # C' <= (1 - 1/(2k)) C, in exact integers
+            assert 2 * k * capacity(learner.collection) <= (2 * k - 1) * before
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +397,20 @@ def test_make_learner_registry():
     for bad in ("nope", "constant:9", "cycling:5", "soa:x", "exp4:1000", "random:"):
         with pytest.raises(ValueError):
             make_learner(bad, fc, 5)
+
+
+def test_every_learner_declares_whether_it_is_deterministic():
+    fc = full_class(1, 3)
+    randomized = set()
+    for name in LEARNER_NAMES:
+        learner = make_learner(name, fc, 5)
+        assert type(learner) is learner_class(name)
+        assert type(learner).deterministic in (True, False)
+        if learner.deterministic:
+            learner.predict(0, None)  # plays without a generator
+        else:
+            randomized.add(name)
+    assert randomized == {"exp4", "random"}
 
 
 def test_bsoa_bound_on_realizable_bandit_runs():
