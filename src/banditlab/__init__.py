@@ -26,7 +26,7 @@ from .dimensions import (
     shatter_oracle,
     shatter_witness,
 )
-from .harness import GameConfig, Report, run_experiment, run_game
+from .harness import GameConfig, Report, play, run_experiment, run_game
 from .hypotheses import (
     FiniteClass,
     LabeledSequence,

@@ -7,7 +7,6 @@ An adversary exposes
     sequence() -> LabeledSequence | None   (committed labels, possibly fixed
                                             retroactively at game end)
     claims_realizable                  whether sequence() must have class_error 0
-    can_serve_full                     whether label sets are revealed per round
 """
 
 from __future__ import annotations
@@ -151,7 +150,6 @@ class GuessingAdversary:
     label on the single instance 0, honest equality feedback."""
 
     claims_realizable = True
-    can_serve_full = True
 
     def __init__(self, fc: FiniteClass, rng):
         for y in range(fc.k):
@@ -202,7 +200,6 @@ class PermutationAdversary:
     """
 
     claims_realizable = True
-    can_serve_full = True
 
     def __init__(self, fc: FiniteClass, delta: int, rng=None, tape=None):
         k = fc.k
@@ -258,12 +255,11 @@ class MinimaxBanditAdversary:
     keep only avoiding hypotheses; the avoidance restriction at such an
     instance loses at most one dimension level, so the forcing phase lasts at
     least bldim(H) rounds.  Once the dimension hits zero, commit the smallest
-    surviving hypothesis and answer honestly.  Cannot reveal label sets during
-    forcing, so it serves bandit learners only.
+    surviving hypothesis and answer honestly.  Reveals no label set while
+    forcing, so only bandit learners can play through a forcing phase.
     """
 
     claims_realizable = True
-    can_serve_full = False
 
     def __init__(self, fc: FiniteClass, rng=None):
         self.fc = fc
@@ -350,8 +346,6 @@ def sample_realizable_sequence(
 
 class SequenceAdversary:
     """Replays a fixed sequence, judging predictions against the allowed sets."""
-
-    can_serve_full = True
 
     def __init__(self, seq: LabeledSequence, claims_realizable: bool):
         self.seq = seq

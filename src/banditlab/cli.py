@@ -10,6 +10,7 @@ from pathlib import Path
 from . import harness, linear
 from .dimensions import bldim, format_witness, ldim, shatter_witness
 from .harness import GameConfig, bound_holds, resolve_class, run_experiment, run_game
+from .hypotheses import RealizabilityViolation
 from .learners import exp4_gamma, expert_count
 
 
@@ -134,8 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Exit code 0 if every checked bound holds, 1 if one fails, 2 on rejected input."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, RealizabilityViolation) as err:
+        print(f"banditlab: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Game runner, experiment presets, and report emission.
+"""The game loop, experiment presets, and report emission.
 
 All randomness in a run flows from one seed through spawned generator streams
 (one per trial for the adversary, one for the learner), so reports are
@@ -20,8 +20,6 @@ from .adversaries import (
     make_adversary,
     make_guesser,
     permutation_floor,
-    sample_noise_sequence,
-    sample_realizable_sequence,
 )
 from .dimensions import bldim, ldim
 from .hypotheses import FiniteClass, LabeledSequence, VersionSpace, read_class
@@ -59,7 +57,6 @@ class RoundRecord:
     prediction: int
     correct: bool
     allowed: frozenset[int] | None
-    mistakes: int  # cumulative after this round
 
 
 @dataclass
@@ -80,23 +77,36 @@ def resolve_class(source: str | FiniteClass) -> FiniteClass:
     return catalog.parse_spec(source)
 
 
-def run_game(cfg: GameConfig) -> list[GameTranscript]:
-    """Play cfg.trials independent games of learner vs adversary.
+def play(learner, adversary, T: int, rng) -> tuple[object, list[RoundRecord]]:
+    """Play up to T rounds, fewer if the adversary's schedule ends first, and
+    return the final learner state and the rounds.  A full-information learner
+    is given each round's revealed label set, any other the correctness bit."""
+    rounds = []
+    for _ in range(T):
+        x = adversary.next_instance()
+        if x is None:
+            break
+        prediction = learner.predict(x, rng)
+        reply = adversary.respond(prediction)
+        if learner.kind != "full":
+            feedback = BanditFeedback(reply.correct)
+        elif reply.allowed is None:
+            raise ValueError(
+                f"{type(adversary).__name__} revealed no label set at round {len(rounds) + 1} "
+                f"to the full-information {type(learner).__name__}"
+            )
+        else:
+            feedback = FullInfoFeedback(reply.allowed)
+        learner = learner.update(x, prediction, feedback)
+        rounds.append(RoundRecord(x, prediction, reply.correct, reply.allowed))
+    return learner, rounds
 
-    Bandit learners see only correctness bits; full-info learners additionally
-    require the adversary to reveal each round's allowed set, and pairing one
-    with an adversary that cannot do so is a configuration error.
-    """
+
+def run_game(cfg: GameConfig) -> list[GameTranscript]:
+    """Play cfg.trials independent games of learner vs adversary."""
     fc = resolve_class(cfg.klass)
     if cfg.T < 1 or cfg.trials < 1:
         raise ValueError("T and trials must be >= 1")
-    probe = make_adversary(cfg.adversary, fc, cfg.T, np.random.default_rng(0))
-    sample_learner = make_learner(cfg.learner, fc, cfg.T)
-    if sample_learner.kind == "full" and not probe.can_serve_full:
-        raise ValueError(
-            f"adversary {cfg.adversary!r} cannot reveal label sets to the "
-            f"full-information learner {cfg.learner!r}"
-        )
     bound = play_bound(cfg, fc)
     bounds = {} if bound is None else {"bound": bound[0], "direction": bound[1]}
     out = []
@@ -104,22 +114,8 @@ def run_game(cfg: GameConfig) -> list[GameTranscript]:
         adv_ss, lrn_ss = child.spawn(2)
         adversary = make_adversary(cfg.adversary, fc, cfg.T, np.random.default_rng(adv_ss))
         learner = make_learner(cfg.learner, fc, cfg.T)
-        lrn_rng = np.random.default_rng(lrn_ss)
-        rounds: list[RoundRecord] = []
-        mistakes = 0
-        for _ in range(cfg.T):
-            x = adversary.next_instance()
-            if x is None:
-                break
-            prediction = learner.predict(x, lrn_rng)
-            reply = adversary.respond(prediction)
-            mistakes += not reply.correct
-            if learner.kind == "full":
-                feedback = FullInfoFeedback(reply.allowed)
-            else:
-                feedback = BanditFeedback(reply.correct)
-            learner = learner.update(x, prediction, feedback)
-            rounds.append(RoundRecord(x, prediction, reply.correct, reply.allowed, mistakes))
+        learner, rounds = play(learner, adversary, cfg.T, np.random.default_rng(lrn_ss))
+        mistakes = sum(not r.correct for r in rounds)
         if learner.mistakes != mistakes:
             raise AssertionError("learner mistake count diverged from the transcript")
         justification = adversary.sequence()
@@ -130,11 +126,7 @@ def run_game(cfg: GameConfig) -> list[GameTranscript]:
                 raise AssertionError(
                     f"adversary {cfg.adversary!r} failed to justify its run as realizable"
                 )
-        out.append(
-            GameTranscript(
-                trial, rounds, mistakes, justification, realizable_ok, dict(bounds)
-            )
-        )
+        out.append(GameTranscript(trial, rounds, mistakes, justification, realizable_ok, dict(bounds)))
     return out
 
 
@@ -345,35 +337,28 @@ def preset_thm3_agnostic(seed: int, trials: int | None = None, T: int | None = N
             notes.append(
                 f"{spec}: exact expert count {expert_count(T, k, L)} exceeds (T*k+1)^ldim"
             )
-        for adversary in ("random-realizable:1", "noise:1"):
+        for aname in ("random-realizable:1", "noise:1"):
             regrets = []
             excess = []  # best expert loss minus best hypothesis loss, per trial
             for child in ss.spawn(trials):
                 adv_ss, lrn_ss = child.spawn(2)
-                adv_rng = np.random.default_rng(adv_ss)
-                if adversary.startswith("noise"):
-                    seq = sample_noise_sequence(fc, T, adv_rng)
-                else:
-                    seq, _ = sample_realizable_sequence(fc, T, adv_rng)
-                err = fc.full_space().class_error(seq)
+                adversary = make_adversary(aname, fc, T, np.random.default_rng(adv_ss))
                 learner = make_learner("exp4", fc, T)
-                lrn_rng = np.random.default_rng(lrn_ss)
-                for ex in seq:
-                    prediction = learner.predict(ex.x, lrn_rng)
-                    feedback = BanditFeedback(prediction in ex.allowed)
-                    learner = learner.update(ex.x, prediction, feedback)
+                learner, _ = play(learner, adversary, T, np.random.default_rng(lrn_ss))
+                seq = adversary.sequence()
+                err = fc.full_space().class_error(seq)
                 regrets.append(learner.mistakes - err)
                 excess.append(best_expert_loss(fc, seq) - err)
             mean, se = _mean_stderr(regrets)
             rows.append(
                 ReportRow(
-                    "thm3-agnostic", spec, "exp4", adversary,
+                    "thm3-agnostic", spec, "exp4", aname,
                     T, trials, seed, mean, se, bound, "<=", _mc_pass(mean, se, bound, "<="),
                 )
             )
             rows.append(
                 ReportRow(
-                    "thm3-agnostic", spec, "best-expert", adversary,
+                    "thm3-agnostic", spec, "best-expert", aname,
                     T, trials, seed, max(excess), 0.0, 0.0, "<=", max(excess) <= 0,
                 )
             )
@@ -490,12 +475,8 @@ def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = Non
         _, graph = linear.roots_of_unity_embedding([list(row) for row in tape])
         points = {j * k + m: graph[j * k + m][0] for j in range(delta) for m in range(k)}
         adversary = PermutationAdversary(fc, delta, tape=tape)
-        learner = linear.BanditPerceptron.zeros(k, 2 * delta)
-        while (x := adversary.next_instance()) is not None:
-            point = points[x]
-            prediction = learner.predict(point)
-            reply = adversary.respond(prediction)
-            learner = learner.update(point, prediction, reply.correct)
+        learner = linear.EmbeddedLearner(linear.BanditPerceptron.zeros(k, 2 * delta), points)
+        learner, _ = play(learner, adversary, adversary.length, None)
         counts.append(learner.mistakes)
     mean, se = _mean_stderr(counts)
     rows.append(
@@ -552,8 +533,8 @@ def preset_claim_guessing(seed: int, trials: int | None = None, T: int | None = 
 
 
 def _permutation_zoo(delta: int, k: int) -> tuple[str, ...]:
-    # bsoa needs bandit dimensions of avoid-restrictions, whose state space
-    # explodes on product classes; keep it to the single-block config.
+    # bsoa at delta=2 would pay a cold bldim(perm:2x4) = 12 solve (5-6 s,
+    # 310,894 memo entries) in every call, which builds a fresh permutation_class.
     zoo = ["capacity", "soa-bandit", "constant", "cycling", "random"]
     if delta == 1:
         zoo.insert(2, "bsoa")
@@ -584,12 +565,7 @@ def preset_claim_permutation(seed: int, trials: int | None = None, T: int | None
                     counts.append(cache[tape])
                     continue
                 adversary = PermutationAdversary(fc, delta, tape=tape)
-                learner = start
-                rng = np.random.default_rng(lrn_ss)
-                while (x := adversary.next_instance()) is not None:
-                    prediction = learner.predict(x, rng)
-                    reply = adversary.respond(prediction)
-                    learner = learner.update(x, prediction, BanditFeedback(reply.correct))
+                learner, _ = play(start, adversary, horizon, np.random.default_rng(lrn_ss))
                 counts.append(learner.mistakes)
                 if start.deterministic:
                     cache[tape] = learner.mistakes

@@ -17,7 +17,8 @@ constructions below realize finite classes inside the Frobenius ball:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -206,3 +207,23 @@ class BanditPerceptron:
         w = self.weights.copy()
         w[prediction] -= x
         return BanditPerceptron(w, self.mistakes + 1)
+
+
+@dataclass(frozen=True, eq=False)
+class EmbeddedLearner:
+    """A BanditPerceptron in a finite class's game: instance x is played as
+    the embedded point points[x]."""
+
+    kind: ClassVar[str] = "bandit"
+    inner: BanditPerceptron
+    points: dict[int, np.ndarray]
+
+    @property
+    def mistakes(self) -> int:
+        return self.inner.mistakes
+
+    def predict(self, x: int, rng) -> int:
+        return self.inner.predict(self.points[x])
+
+    def update(self, x: int, prediction: int, feedback) -> "EmbeddedLearner":
+        return replace(self, inner=self.inner.update(self.points[x], prediction, feedback.correct))

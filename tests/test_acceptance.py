@@ -18,6 +18,7 @@ from banditlab import (
     full_class,
     ldim,
     make_learner,
+    play,
     run_experiment,
     sample_realizable_sequence,
     shatter_oracle,
@@ -119,24 +120,12 @@ def test_criterion_4_minimax_floor():
             floor = min(T, d)
             for name in zoo:
                 adversary = MinimaxBanditAdversary(fc)
-                learner = make_learner(name, fc, T)
-                for _ in range(T):
-                    x = adversary.next_instance()
-                    pred = learner.predict(x, None)
-                    reply = adversary.respond(pred)
-                    learner = learner.update(x, pred, BanditFeedback(reply.correct))
+                learner, _ = play(make_learner(name, fc, T), adversary, T, None)
                 assert learner.mistakes >= floor, (fc.name, name, T)
                 assert fc.full_space().class_error(adversary.sequence()) == 0
                 games += 1
             # the optimal bandit learner attains the floor exactly
-            adversary = MinimaxBanditAdversary(fc)
-            learner = make_learner("bsoa", fc, T)
-            for _ in range(T):
-                x = adversary.next_instance()
-                pred = learner.predict(x, None)
-                learner = learner.update(
-                    x, pred, BanditFeedback(adversary.respond(pred).correct)
-                )
+            learner, _ = play(make_learner("bsoa", fc, T), MinimaxBanditAdversary(fc), T, None)
             assert learner.mistakes == floor, (fc.name, T)
     _report(4, f"minimax adversary forced >= min(T, bldim) in {games} zoo games", t0)
 

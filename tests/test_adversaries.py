@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from banditlab import (
-    BanditFeedback,
     GuessingAdversary,
     MinimaxBanditAdversary,
     PermutationAdversary,
@@ -17,6 +16,7 @@ from banditlab import (
     make_guesser,
     make_learner,
     permutation_class,
+    play,
     sample_realizable_sequence,
 )
 from banditlab.adversaries import GUESSER_NAMES, permutation_floor
@@ -151,10 +151,7 @@ def test_permutation_tape_makes_runs_reproducible():
     runs = []
     for _ in range(2):
         adv = PermutationAdversary(fc, 2, tape=tape)
-        learner = make_learner("capacity", fc, adv.length)
-        while (x := adv.next_instance()) is not None:
-            pred = learner.predict(x)
-            learner = learner.update(x, pred, BanditFeedback(adv.respond(pred).correct))
+        learner, _ = play(make_learner("capacity", fc, adv.length), adv, adv.length, None)
         runs.append(learner.mistakes)
     assert runs[0] == runs[1]
 
@@ -176,13 +173,7 @@ def test_permutation_floor_values():
 
 def play_minimax(fc, learner_name, T):
     adv = MinimaxBanditAdversary(fc)
-    learner = make_learner(learner_name, fc, T)
-    rng = np.random.default_rng(0)
-    for _ in range(T):
-        x = adv.next_instance()
-        pred = learner.predict(x, rng)
-        reply = adv.respond(pred)
-        learner = learner.update(x, pred, BanditFeedback(reply.correct))
+    learner, _ = play(make_learner(learner_name, fc, T), adv, T, np.random.default_rng(0))
     return learner.mistakes, adv
 
 

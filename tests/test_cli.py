@@ -32,3 +32,17 @@ def test_experts_counts_without_enumerating(capsys):
     assert "gamma = " in out
     with pytest.raises(SystemExit):
         cli.main(["experts", "--class", "full:1x3", "--T", "10", "--cap", "100"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["play", "--class", "full:1x3", "--learner", "soa", "--adversary", "minimax", "--T", "3"],
+         "revealed no label set"),
+        (["dim", "nope:1x3"], "unknown class kind 'nope'"),
+    ],
+)
+def test_rejected_input_exits_two_with_a_message(argv, message, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("banditlab: error: ") and message in err

@@ -3,7 +3,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from banditlab import full_class, permutation_class, run_experiment, run_game
+from banditlab import (
+    full_class,
+    make_adversary,
+    make_learner,
+    permutation_class,
+    play,
+    run_experiment,
+    run_game,
+)
+from banditlab.catalog import subclass
 from banditlab.harness import (
     CSV_COLUMNS,
     PRESETS,
@@ -86,6 +95,56 @@ def test_permutation_games_stop_at_the_schedule_end():
         assert t.realizable_ok
 
 
+def test_play_stops_at_the_end_of_the_schedule():
+    fc = permutation_class(1, 3)
+    adversary = make_adversary("permutation:1", fc, 50, np.random.default_rng(1))
+    _, rounds = play(make_learner("cycling", fc, 50), adversary, 50, None)
+    assert len(rounds) == 3
+    assert adversary.next_instance() is None
+
+
+def test_play_gives_a_full_information_learner_the_revealed_sets():
+    fc = full_class(2, 3)
+    adversary = make_adversary("random-realizable:2", fc, 12, np.random.default_rng(3))
+    learner, rounds = play(make_learner("soa", fc, 12), adversary, 12, None)
+    space = fc.full_space()
+    for r in rounds:
+        space = space.restrict_in(r.x, r.allowed)
+    assert space != fc.full_space()
+    assert learner.space == space
+    assert [(r.x, r.allowed) for r in rounds] == [(ex.x, ex.allowed) for ex in adversary.sequence()]
+
+
+def test_play_refuses_a_full_information_learner_an_unrevealed_round():
+    fc = full_class(1, 3)
+    with pytest.raises(ValueError, match="revealed no label set at round 1"):
+        play(make_learner("soa", fc, 3), make_adversary("minimax", fc, 3, None), 3, None)
+    # with bldim 0 there is no forcing phase: labels are revealed from round 1
+    single = subclass(fc, 0b001)
+    learner, rounds = play(
+        make_learner("soa", single, 3), make_adversary("minimax", single, 3, None), 3, None
+    )
+    assert len(rounds) == 3 and learner.mistakes == 0
+
+
+@pytest.mark.parametrize(
+    "lname, aname",
+    [
+        ("capacity", "minimax"),
+        ("cycling", "permutation:1"),
+        ("random", "guessing"),
+        ("exp4", "noise:2"),
+        ("soa", "random-realizable:1"),
+    ],
+)
+def test_play_rounds_count_the_learners_mistakes(lname, aname):
+    fc = permutation_class(1, 3)
+    rng = np.random.default_rng(5)
+    learner, rounds = play(make_learner(lname, fc, 10), make_adversary(aname, fc, 10, rng), 10, rng)
+    assert sum(not r.correct for r in rounds) == learner.mistakes
+    assert learner.mistakes > 0 or lname == "soa"
+
+
 def test_report_csv_shape_and_determinism():
     a = run_experiment("dim-ratio", seed=5)
     b = run_experiment("dim-ratio", seed=5)
@@ -131,17 +190,20 @@ def test_bound_holds_in_every_direction():
 
 
 # sha256 of preset CSVs at seed 7, recorded before the presets' games were
-# batched into array operations and shared tapes; any change to a preset's
-# random draw layout, or to what its learners play, moves them
+# batched into array operations and shared tapes (thm3-agnostic: before its
+# games went through `play`); any change to a preset's random draw layout, or
+# to what its learners play, moves them
 PINNED_CSV_SHA256 = {
     ("claim-guessing", 2000): "64e987470d4d877b6cb50661ae5c9b4e666620fe18d94eef63445237d54cce76",
     ("claim-permutation", 300): "a5884e0a5481788cc840fc625f90febc0f9a72ba365e5fdae4f4b274c0d74330",
     ("thm4-linear", 100): "22f12db3e9fa9a9de10ca4fb46ad4deadbbc92d3c7c4ce8cf606bee90402eb03",
     ("thm2-realizable", 10): "102be97181c4f7ee727f2e9bab9aaa6271a2d228b0b5c41d43f7fb6619c1866c",
+    ("thm3-agnostic", 4): "f00b4d08fc9619926f66832c0cba987a669e27cc24733f63b38fdf9428c8c57a",
 }
+PINNED_T = {"thm3-agnostic": 40}  # the others run at their default horizon
 
 
 @pytest.mark.parametrize("preset, trials", sorted(PINNED_CSV_SHA256))
 def test_preset_reports_keep_their_pinned_bytes(preset, trials):
-    csv = run_experiment(preset, seed=7, trials=trials).to_csv()
+    csv = run_experiment(preset, seed=7, trials=trials, T=PINNED_T.get(preset)).to_csv()
     assert hashlib.sha256(csv.encode()).hexdigest() == PINNED_CSV_SHA256[preset, trials]

@@ -1,12 +1,15 @@
 import math
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banditlab import PermutationAdversary, permutation_class, play
 from banditlab.linear import (
     BanditPerceptron,
+    EmbeddedLearner,
     check_margin_realization,
     embedding_norm_report,
     frobenius_norm,
@@ -235,3 +238,25 @@ def test_bandit_perceptron_updates_only_on_mistakes():
     assert same.mistakes == 0 and not same.weights.any()
     moved = learner.update(x, 1, correct=False)
     assert moved.mistakes == 1 and moved.weights[1, 0] == -1.0
+
+
+@pytest.mark.parametrize("delta, k", [(1, 3), (2, 3)])
+def test_embedded_learner_through_play_matches_the_direct_loop(delta, k):
+    fc = permutation_class(delta, k)
+    total = 0
+    for tape in product(permutations(range(k)), repeat=delta):
+        _, graph = roots_of_unity_embedding([list(row) for row in tape])
+        points = {x: graph[x][0] for x in range(delta * k)}
+        adversary = PermutationAdversary(fc, delta, tape=tape)
+        # reference: the Perceptron walked over the schedule's points and labels
+        direct = BanditPerceptron.zeros(k, 2 * delta)
+        for x, y in adversary.schedule:
+            pred = direct.predict(points[x])
+            direct = direct.update(points[x], pred, pred == y)
+        learner = EmbeddedLearner(BanditPerceptron.zeros(k, 2 * delta), points)
+        learner, rounds = play(learner, adversary, adversary.length, None)
+        assert len(rounds) == len(adversary.schedule)
+        assert learner.mistakes == direct.mistakes
+        assert np.array_equal(learner.inner.weights, direct.weights)
+        total += direct.mistakes
+    assert total > 0
