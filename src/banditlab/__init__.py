@@ -62,7 +62,6 @@ from .learners import (
     FullInfoFeedback,
     SOABanditLearner,
     SOALearner,
-    bandit_potential,
     best_expert_loss,
     exp4_gamma,
     expert_count,

@@ -217,7 +217,6 @@ class PermutationAdversary:
             for m in range(k - 1):
                 self.schedule.extend([(j * k + m, tape[j][m])] * (k - 1 - m))
         self.pos = 0
-        self.history: list[MultiLabelExample] = []
 
     @property
     def length(self) -> int:
@@ -229,13 +228,12 @@ class PermutationAdversary:
         return self.schedule[self.pos][0]
 
     def respond(self, prediction: int) -> RoundReply:
-        x, y = self.schedule[self.pos]
+        y = self.schedule[self.pos][1]
         self.pos += 1
-        self.history.append(MultiLabelExample(x, frozenset((y,))))
         return RoundReply(prediction == y, frozenset((y,)))
 
     def sequence(self) -> LabeledSequence:
-        return tuple(self.history)
+        return tuple(MultiLabelExample(x, frozenset((y,))) for x, y in self.schedule[: self.pos])
 
     def committed_row(self) -> tuple[int, ...]:
         """The hiding function as a full table row, f(j, m) = tape[j][m]."""

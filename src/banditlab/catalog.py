@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import Iterator
 
 import numpy as np
 
@@ -42,11 +41,6 @@ def random_class(rng: np.random.Generator, max_n: int = 3, max_k: int = 3, name:
     size = int(rng.integers(1, k**n + 1))
     rows = rng.integers(0, k, size=(size, n))
     return FiniteClass(name or f"rand:{n}x{k}", n, k, rows.tolist())
-
-
-def all_nonempty_submasks(cls: FiniteClass) -> Iterator[int]:
-    """Every nonempty subset of the class's rows, as version-space masks."""
-    return iter(range(1, cls.full_mask + 1))
 
 
 def subclass(cls: FiniteClass, mask: int) -> FiniteClass:

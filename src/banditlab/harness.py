@@ -51,7 +51,7 @@ class GameConfig:
     seed: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
     x: int
     prediction: int
@@ -591,7 +591,7 @@ def preset_dim_ratio(seed: int, trials: int | None = None, T: int | None = None)
     rows = []
     fc = catalog.full_class(2, 2)
     envelope = 4.0 * fc.k * math.log(fc.k)
-    for mask in catalog.all_nonempty_submasks(fc):
+    for mask in range(1, fc.full_mask + 1):  # every nonempty subclass
         space = VersionSpace(fc, mask)
         l, bl = ldim(space), bldim(space)
         rows.append(

@@ -35,6 +35,14 @@ def _int_field(value: object, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _nonnegative_field(value: object, what: str) -> int:
+    """`_int_field`, refusing negatives too."""
+    out = _int_field(value, what)
+    if out < 0:
+        raise ValueError(f"{what} must be nonnegative, got {out}")
+    return out
+
+
 def _label_row(row: tuple, i: int, k: int) -> tuple[int, ...]:
     """Row i with numpy integers made ints; ValueError for any other label
     type or a label outside [0, k)."""
@@ -242,8 +250,13 @@ class MultiLabelExample:
     allowed: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "allowed", frozenset(int(y) for y in self.allowed))
-        if not self.allowed:
+        if type(self.x) is not int or self.x < 0:
+            object.__setattr__(self, "x", _nonnegative_field(self.x, "instance"))
+        allowed = frozenset(
+            y if type(y) is int and y >= 0 else _nonnegative_field(y, "label") for y in self.allowed
+        )
+        object.__setattr__(self, "allowed", allowed)
+        if not allowed:
             raise ValueError("allowed label set must be nonempty")
 
 
@@ -251,7 +264,7 @@ LabeledSequence = tuple[MultiLabelExample, ...]
 
 
 def make_sequence(pairs: Iterable[tuple[int, Iterable[int]]]) -> LabeledSequence:
-    return tuple(MultiLabelExample(int(x), frozenset(labels)) for x, labels in pairs)
+    return tuple(MultiLabelExample(x, frozenset(labels)) for x, labels in pairs)
 
 
 def _check_sequence(cls: FiniteClass, seq: LabeledSequence) -> None:
@@ -314,14 +327,13 @@ def load_sequence(text: str) -> LabeledSequence:
     for i, rec in enumerate(doc):
         if not isinstance(rec, dict) or "x" not in rec or "allowed" not in rec:
             raise ValueError(f"bad sequence record {i}: expected an object with 'x' and 'allowed'")
-        x = _int_field(rec["x"], f"record {i} x")
         allowed = rec["allowed"]
         if not isinstance(allowed, list):
             raise ValueError(f"record {i} allowed must be a list of labels, got {allowed!r}")
-        labels = [_int_field(y, f"record {i} label") for y in allowed]
-        if x < 0 or any(y < 0 for y in labels):
-            raise ValueError(f"bad sequence record {i}: instances and labels are nonnegative")
-        out.append(MultiLabelExample(x, frozenset(labels)))
+        try:  # MultiLabelExample refuses an instance or label that is not a nonnegative integer
+            out.append(MultiLabelExample(rec["x"], allowed))
+        except ValueError as err:
+            raise ValueError(f"bad sequence record {i}: {err}") from None
     return tuple(out)
 
 

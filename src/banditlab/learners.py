@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dimensions import ClassCollection, _ldim_mask, bldim, capacity, ldim
+from .dimensions import ClassCollection, _ldim_mask, bldim, ldim
 from .hypotheses import FiniteClass, RealizabilityViolation, VersionSpace
 
 
@@ -159,61 +159,15 @@ class BanditOptimalLearner:
 # ---------------------------------------------------------------------------
 
 
-def bandit_potential(
-    collection: ClassCollection, x: int, y0: int
-) -> tuple[ClassCollection, ClassCollection, int]:
-    """Capacity drop if y0 were predicted and judged wrong.
-
-    Returns (selected, updated, drop): `selected` holds the members whose every
-    off-y0 restriction strictly loses dimension; `updated` is the collection
-    with each such member replaced in place by its nonempty off-y0 restrictions
-    (other members untouched); `drop` is the exact integer
-    capacity(collection) - capacity(updated).
-    """
-    selected: list[VersionSpace] = []
-    updated: list[VersionSpace] = []
-    for v in collection:
-        if v.is_empty:
-            raise ValueError("collections must hold nonempty spaces")
-        k = v.cls.k
-        dv = ldim(v)
-        pieces: list[VersionSpace] = []
-        in_selected = True
-        for y in range(k):
-            if y == y0:
-                continue
-            sub = v.restrict_eq(x, y)
-            if ldim(sub) >= dv:
-                in_selected = False
-                break
-            if not sub.is_empty:
-                pieces.append(sub)
-        if in_selected:
-            selected.append(v)
-            updated.extend(pieces)
-        else:
-            updated.append(v)
-    drop = capacity(collection) - capacity(tuple(updated))
-    return tuple(selected), tuple(updated), drop
-
-
-def capacity_drops(collection: ClassCollection, x: int) -> list[int]:
-    """Every label's exact drop at x in one pass over a nonempty collection:
-    `capacity_drops(C, x)[y] == bandit_potential(C, x, y)[2]`.
-
-    A member V's restriction dimensions d_y = ldim(V[x=y]) do not depend on
-    the predicted label y0, and V is selected at y0 exactly when no label
-    other than y0 keeps d_y = ldim(V).  At most one label can keep it: two
-    would root a tree one level deeper than ldim(V).  So V counts only for
-    that label when one keeps its dimension, and for every label when none
-    does; where it counts, it adds
-    k^(2 ldim V) - sum over y != y0 with V[x=y] nonempty of k^(2 d_y).
-    """
+def _member_dims(collection: ClassCollection, x: int):
+    """Each member V in order as (V, ldim(V), [ldim(V[x=y]) for every label y]),
+    with -1 for an empty restriction: the one split both the drops and the
+    update read."""
+    if not collection:
+        return
     fc = collection[0].cls
-    k = fc.k
     eqs = fc.eq_masks(x)
     cache = fc.ldim_cache  # looked up here first: most restrictions are memo hits
-    drops = [0] * k
     for v in collection:
         mask = v.mask
         if not mask:
@@ -221,19 +175,38 @@ def capacity_drops(collection: ClassCollection, x: int) -> list[int]:
         dv = cache.get(mask)
         if dv is None:
             dv = _ldim_mask(fc, mask)
+        dims = []
+        for eq in eqs:
+            sub = mask & eq
+            if not sub:
+                dims.append(-1)
+            elif (d := cache.get(sub)) is not None:
+                dims.append(d)
+            else:
+                dims.append(_ldim_mask(fc, sub))
+        yield v, dv, dims
+
+
+def capacity_drops(collection: ClassCollection, x: int) -> list[int]:
+    """Every label's exact wrong-answer capacity drop at x, over a nonempty collection.
+
+    A member V's restriction dimensions d_y = ldim(V[x=y]) do not depend on
+    the predicted label y0, and V is split at y0 exactly when no label other
+    than y0 keeps d_y = ldim(V).  At most one label can keep it: two would
+    root a tree one level deeper than ldim(V).  So V counts only for that
+    label when one keeps its dimension, and for every label when none does;
+    where it counts, it adds
+    k^(2 ldim V) - sum over y != y0 with V[x=y] nonempty of k^(2 d_y).
+    """
+    k = collection[0].cls.k
+    drops = [0] * k
+    for _, dv, dims in _member_dims(collection, x):
         keepers = []  # the label whose restriction keeps ldim(V), if any
         weights = []  # k^(2 d_y) by label, 0 for an empty restriction
-        for y, eq in enumerate(eqs):
-            sub = mask & eq
-            if sub:
-                d = cache.get(sub)
-                if d is None:
-                    d = _ldim_mask(fc, sub)
-                if d == dv:
-                    keepers.append(y)
-                weights.append(k ** (2 * d))
-            else:
-                weights.append(0)
+        for y, d in enumerate(dims):
+            if d == dv:
+                keepers.append(y)
+            weights.append(k ** (2 * d) if d >= 0 else 0)
         rest = k ** (2 * dv) - sum(weights)  # plus the y0 term, which is not removed
         for y in keepers or range(k):
             drops[y] += rest + weights[y]
@@ -254,8 +227,9 @@ class CapacityLearner:
     (`capacity_drops`): a member's restriction dimensions at x are computed
     once; if one label's restriction keeps the member's dimension, the member
     counts only for that label, and otherwise for every label.  `update`
-    applies the chosen label's drop through `bandit_potential`, which is also
-    the reference the one-pass drops are tested against.
+    reads the same split: a member stays when a label other than the wrong
+    one keeps its dimension, and is otherwise replaced, in label order, by
+    its nonempty restrictions to the other labels.
     """
 
     kind: ClassVar[str] = "bandit"
@@ -278,10 +252,17 @@ class CapacityLearner:
     def update(self, x: int, prediction: int, feedback: BanditFeedback) -> "CapacityLearner":
         if feedback.correct:
             return self
-        _, updated, _ = bandit_potential(self.collection, x, prediction)
+        off = [y for y in range(self.k) if y != prediction]
+        updated = []
+        for v, dv, dims in _member_dims(self.collection, x):
+            if any(dims[y] == dv for y in off):
+                updated.append(v)
+            else:
+                eqs = v.cls.eq_masks(x)
+                updated.extend(VersionSpace(v.cls, v.mask & eqs[y]) for y in off if dims[y] >= 0)
         if not updated:
             raise RealizabilityViolation("capacity reached 0: run was not realizable")
-        return CapacityLearner(updated, self.k, self.mistakes + 1)
+        return CapacityLearner(tuple(updated), self.k, self.mistakes + 1)
 
 
 # ---------------------------------------------------------------------------

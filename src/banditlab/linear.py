@@ -151,11 +151,6 @@ def embedding_norm_report(delta: int, k: int) -> dict:
     }
 
 
-def taylor_gap_floor(k: int) -> float:
-    """Quarter-quadratic lower bound on the gap: k^2 * (2*pi/k)^2 / 4 = pi^2."""
-    return k**2 * (2.0 * math.pi / k) ** 2 / 4.0
-
-
 # ---------------------------------------------------------------------------
 # the multiclass Perceptron
 # ---------------------------------------------------------------------------

@@ -1,0 +1,37 @@
+"""The benchmark under bench/ is kept frozen and reaches into the package by
+name (`bl.<name>` for `import banditlab as bl`, `catalog.<name>`, and
+`from banditlab... import <name>`).  Every such name must still exist, so that
+deleting one fails here rather than in the middle of a benchmark run."""
+
+import ast
+import importlib
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+ALIASES = {"bl": "banditlab", "catalog": "banditlab.catalog"}
+
+
+def bench_names() -> set[tuple[str, str, str]]:
+    """(file, module, name) for every package name a bench/ script reads."""
+    found = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in ALIASES:
+                    found.add((path.name, ALIASES[node.value.id], node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("banditlab"):
+                found.update((path.name, node.module, alias.name) for alias in node.names)
+    return found
+
+
+def test_every_name_the_benchmark_reads_still_exists():
+    names = bench_names()
+    # the workloads read at least these; an empty or shrunken scan proves nothing
+    assert ("workloads.py", "banditlab", "capacity") in names
+    assert ("workloads.py", "banditlab.catalog", "parse_spec") in names
+    missing = sorted(
+        f"{file}: {module}.{name}"
+        for file, module, name in names
+        if not hasattr(importlib.import_module(module), name)
+    )
+    assert missing == []

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from banditlab import (
     FiniteClass,
+    MultiLabelExample,
     dumps_class,
     dumps_sequence,
     full_class,
@@ -135,6 +136,21 @@ def test_sequence_rejects_empty_allowed():
 def test_load_sequence_rejects_malformed_records(records):
     with pytest.raises(ValueError):
         load_sequence(json.dumps(records))
+
+
+@pytest.mark.parametrize(
+    "x, label",
+    [(1.9, 0), (True, 0), (1.0, 0), ("1", 0), (-3, 0), (0, 1.9), (0, True), (0, "1"), (0, -1)],
+)
+def test_multilabel_example_refuses_what_it_would_coerce(x, label):
+    with pytest.raises(ValueError):
+        MultiLabelExample(x, frozenset({label}))
+
+
+def test_multilabel_example_takes_numpy_integers_as_ints():
+    ex = MultiLabelExample(np.int64(2), frozenset({np.int8(1)}))
+    assert ex == MultiLabelExample(2, frozenset({1}))
+    assert type(ex.x) is int and all(type(y) is int for y in ex.allowed)
 
 
 def test_load_sequence_reads_a_valid_document():

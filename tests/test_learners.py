@@ -13,7 +13,6 @@ from banditlab import (
     FullInfoFeedback,
     RealizabilityViolation,
     SOALearner,
-    bandit_potential,
     best_expert_loss,
     bldim,
     capacity,
@@ -34,6 +33,7 @@ from banditlab.learners import (
     expert_count_bound_holds,
     learner_class,
 )
+from capacity_oracle import bandit_potential
 from corpus_util import named_corpus
 from exp4_oracle import enumerate_experts, play_oracle
 
@@ -211,10 +211,12 @@ def test_one_pass_drops_match_the_potential_and_capacity_shrinks(game):
         drops = [bandit_potential(learner.collection, x, y)[2] for y in range(k)]
         pred = learner.predict(x)
         assert pred == max(range(k), key=drops.__getitem__)  # largest drop, smallest label
-        before = capacity(learner.collection)
+        before = learner.collection
         learner = learner.update(x, pred, BanditFeedback(pred == truth))
-        if pred != truth:  # C' <= (1 - 1/(2k)) C, in exact integers
-            assert 2 * k * capacity(learner.collection) <= (2 * k - 1) * before
+        if pred != truth:
+            assert learner.collection == bandit_potential(before, x, pred)[1]
+            # C' <= (1 - 1/(2k)) C, in exact integers
+            assert 2 * k * capacity(learner.collection) <= (2 * k - 1) * capacity(before)
 
 
 # ---------------------------------------------------------------------------

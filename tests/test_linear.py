@@ -18,7 +18,6 @@ from banditlab.linear import (
     roots_of_unity_embedding,
     roots_of_unity_gap,
     standard_basis_embedding,
-    taylor_gap_floor,
     unit_gap_scaled,
 )
 
@@ -150,8 +149,7 @@ def test_roots_embedding_validation():
 def test_taylor_floor_keeps_the_gap_above_one():
     for k in range(3, 65):
         gap = roots_of_unity_gap(k)
-        assert gap >= taylor_gap_floor(k) - 1e-9
-        assert taylor_gap_floor(k) == pytest.approx(math.pi**2)
+        assert gap >= math.pi**2 - 1e-9  # the Taylor floor k^2 * (2*pi/k)^2 / 4
         assert gap > 1.0
     assert roots_of_unity_gap(2) > 1.0
 
