@@ -162,22 +162,38 @@ class PerceptronResult:
     weights: np.ndarray
 
 
-def multiclass_perceptron(stream, k: int, d: int) -> PerceptronResult:
-    """Online run over (point, label) pairs: argmax prediction, additive
-    correction of the true and predicted rows on mistakes.
+def perceptron_mistakes(
+    points: np.ndarray, labels: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Independent Perceptron runs side by side: points (runs, T, d) and labels
+    (runs, T) give each run's mistake count and final k x d matrix.  Each round
+    predicts the argmax row and, on a mistake, adds x to the true row and
+    subtracts it from the predicted one.
 
     On a stream margin-realized by some matrix of Frobenius norm at most D,
     the mistake count is at most 2*D^2.
     """
-    w = np.zeros((k, d))
-    mistakes = 0
-    for x, y in stream:
-        pred = int((w @ x).argmax())
-        if pred != y:
-            mistakes += 1
-            w[y] += x
-            w[pred] -= x
-    return PerceptronResult(mistakes, w)
+    runs, _, d = points.shape
+    w = np.zeros((runs, k, d))
+    mistakes = np.zeros(runs, dtype=np.int64)
+    for x, y in zip(points.transpose(1, 0, 2), labels.T):
+        pred = (w @ x[:, :, None])[:, :, 0].argmax(axis=1)
+        wrong = pred != y
+        if wrong.any():
+            r = np.flatnonzero(wrong)
+            w[r, y[r]] += x[r]
+            w[r, pred[r]] -= x[r]
+            mistakes += wrong
+    return mistakes, w
+
+
+def multiclass_perceptron(stream, k: int, d: int) -> PerceptronResult:
+    """One Perceptron run over (point, label) pairs."""
+    stream = list(stream)
+    points = np.array([x for x, _ in stream], dtype=float).reshape(1, len(stream), d)
+    labels = np.array([y for _, y in stream], dtype=np.int64).reshape(1, len(stream))
+    mistakes, w = perceptron_mistakes(points, labels, k)
+    return PerceptronResult(int(mistakes[0]), w[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,6 +226,7 @@ class EmbeddedLearner:
     the embedded point points[x]."""
 
     kind: ClassVar[str] = "bandit"
+    deterministic: ClassVar[bool] = True
     inner: BanditPerceptron
     points: dict[int, np.ndarray]
 

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import banditlab
 from banditlab import cli, harness
 
 
@@ -46,3 +52,15 @@ def test_rejected_input_exits_two_with_a_message(argv, message, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("banditlab: error: ") and message in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(banditlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["experiment", "thm4-linear", "--trials", "10", "--seed", "7"]
+    done = subprocess.run(
+        [sys.executable, "-m", "banditlab", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == harness.CSV_COLUMNS

@@ -5,6 +5,8 @@ import pytest
 
 from banditlab import (
     full_class,
+    harness,
+    linear,
     make_adversary,
     make_learner,
     permutation_class,
@@ -189,14 +191,50 @@ def test_bound_holds_in_every_direction():
         bound_holds(1, 1, "info")
 
 
+def _recording_play(monkeypatch):
+    """Replace the presets' `play` with one that records (learner, rng) per game."""
+    games = []
+
+    def recording_play(learner, adversary, T, rng):
+        games.append((learner, rng))
+        return play(learner, adversary, T, rng)
+
+    monkeypatch.setattr(harness, "play", recording_play)
+    return games
+
+
+def test_thm4_linear_plays_each_embedded_tape_once(monkeypatch):
+    """bijections:2x3 has 36 tapes, so most of 300 trials replay a tape's
+    mistakes from the cache; were the embedded learner's class randomized,
+    every trial would play, and the report is the same either way."""
+    games = _recording_play(monkeypatch)
+    cached = run_experiment("thm4-linear", seed=3, trials=300).to_csv()
+    assert 0 < len(games) <= 36
+    games.clear()
+    monkeypatch.setattr(linear.EmbeddedLearner, "deterministic", False)
+    assert run_experiment("thm4-linear", seed=3, trials=300).to_csv() == cached
+    assert len(games) == 300
+
+
+def test_claim_permutation_builds_generators_only_for_randomized_learners(monkeypatch):
+    games = _recording_play(monkeypatch)
+    run_experiment("claim-permutation", seed=1, trials=20)
+    assert {type(learner).deterministic for learner, _ in games} == {True, False}
+    for learner, rng in games:
+        assert (rng is None) == learner.deterministic
+
+
 # sha256 of preset CSVs at seed 7, recorded before the presets' games were
 # batched into array operations and shared tapes (thm3-agnostic: before its
-# games went through `play`); any change to a preset's random draw layout, or
-# to what its learners play, moves them
+# games went through `play`; thm4-linear at its default 2000 trials, where all
+# 36 embedded tapes recur: before its Perceptron streams ran as one batch and
+# its tapes were played once each); any change to a preset's random draw
+# layout, or to what its learners play, moves them
 PINNED_CSV_SHA256 = {
     ("claim-guessing", 2000): "64e987470d4d877b6cb50661ae5c9b4e666620fe18d94eef63445237d54cce76",
     ("claim-permutation", 300): "a5884e0a5481788cc840fc625f90febc0f9a72ba365e5fdae4f4b274c0d74330",
     ("thm4-linear", 100): "22f12db3e9fa9a9de10ca4fb46ad4deadbbc92d3c7c4ce8cf606bee90402eb03",
+    ("thm4-linear", 2000): "acd69c31da7580d725d8e44a72c8b5604935acde71c17469eafa4134430e8723",
     ("thm2-realizable", 10): "102be97181c4f7ee727f2e9bab9aaa6271a2d228b0b5c41d43f7fb6619c1866c",
     ("thm3-agnostic", 4): "f00b4d08fc9619926f66832c0cba987a669e27cc24733f63b38fdf9428c8c57a",
 }

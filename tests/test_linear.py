@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from itertools import permutations, product
 
 import numpy as np
@@ -15,11 +16,13 @@ from banditlab.linear import (
     frobenius_norm,
     margin_gap,
     multiclass_perceptron,
+    perceptron_mistakes,
     roots_of_unity_embedding,
     roots_of_unity_gap,
     standard_basis_embedding,
     unit_gap_scaled,
 )
+from perceptron_oracle import multiclass_perceptron as scalar_perceptron
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +230,64 @@ def test_dimension_sandwich_through_the_embedding(L, k):
         _, graph = standard_basis_embedding(f, k)
         stream = [graph[int(i)] for i in rng.integers(L, size=40)]
         assert multiclass_perceptron(stream, k, L).mistakes <= 2 * L
+
+
+@st.composite
+def perceptron_batches(draw):
+    """(graphs, picks, k, d): run r plays graphs[r][i] for each i in picks[r].
+
+    Graphs come from either embedding, or are arbitrary float points (the zero
+    point among them, so scores can stay tied past the all-zero start) with
+    arbitrary labels; every pool is small, so points repeat."""
+    runs = draw(st.integers(1, 8))
+    source = draw(st.sampled_from(["basis", "roots", "floats"]))
+    if source == "basis":
+        k, d = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+        labelings = st.lists(st.integers(0, k - 1), min_size=d, max_size=d)
+        graphs = [standard_basis_embedding(draw(labelings), k)[1] for _ in range(runs)]
+    elif source == "roots":
+        k, delta = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+        d = 2 * delta
+        tables = st.lists(st.permutations(range(k)), min_size=delta, max_size=delta)
+        graphs = [roots_of_unity_embedding(draw(tables))[1] for _ in range(runs)]
+    else:
+        k, d = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+        coords = st.lists(st.floats(-4.0, 4.0, allow_subnormal=False), min_size=d, max_size=d)
+        pool = [np.zeros(d)] + [np.array(x) for x in draw(st.lists(coords, min_size=1, max_size=3))]
+        graphs = [[(x, draw(st.integers(0, k - 1))) for x in pool] for _ in range(runs)]
+    T = draw(st.integers(0, 40))
+    picks = [draw(st.lists(st.integers(0, len(g) - 1), min_size=T, max_size=T)) for g in graphs]
+    return graphs, picks, k, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(perceptron_batches())
+def test_batched_perceptron_matches_the_scalar_runs(batch):
+    graphs, picks, k, d = batch
+    streams = [[g[i] for i in idx] for g, idx in zip(graphs, picks)]
+    T = len(picks[0])
+    points = np.array([[x for x, _ in s] for s in streams]).reshape(len(streams), T, d)
+    labels = np.array([[y for _, y in s] for s in streams], dtype=np.int64).reshape(len(streams), T)
+    mistakes, weights = perceptron_mistakes(points, labels, k)
+    assert mistakes.shape == (len(streams),) and weights.shape == (len(streams), k, d)
+    for r, stream in enumerate(streams):
+        expected_mistakes, expected_weights = scalar_perceptron(stream, k, d)
+        assert mistakes[r] == expected_mistakes
+        assert np.array_equal(weights[r], expected_weights)
+    one = multiclass_perceptron(streams[0], k, d)
+    assert one.mistakes == mistakes[0] and np.array_equal(one.weights, weights[0])
+
+
+def test_embedded_learner_declares_its_trait_on_the_class():
+    """The thm4-linear cache replays a tape's mistakes only for a learner whose
+    class says it is deterministic; its predictions must then ignore the rng."""
+    assert EmbeddedLearner.deterministic is True
+    assert "deterministic" not in {f.name for f in fields(EmbeddedLearner)}  # a ClassVar
+    rng = np.random.default_rng(0)
+    points = {x: p for x, p in enumerate(rng.normal(size=(6, 4)))}
+    learner = EmbeddedLearner(BanditPerceptron(rng.normal(size=(3, 4))), points)
+    for x in points:
+        assert learner.predict(x, None) == learner.predict(x, np.random.default_rng(x))
 
 
 def test_bandit_perceptron_updates_only_on_mistakes():
