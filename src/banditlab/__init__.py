@@ -6,13 +6,15 @@ margin linear-separator embeddings, and a reproducible experiment harness.
 """
 
 from .adversaries import (
-    GuessingAdversary,
     MinimaxBanditAdversary,
     PermutationAdversary,
+    SequenceAdversary,
     draw_permutation_tape,
     guessing_game,
+    guessing_sequence,
     make_adversary,
     make_guesser,
+    permutation_sequence,
     sample_noise_sequence,
     sample_realizable_sequence,
 )

@@ -2,11 +2,16 @@
 
 An adversary exposes
 
-    next_instance() -> int | None      (None once its schedule is exhausted)
+    next_instance() -> int | None      (None once its run is exhausted)
     respond(prediction) -> RoundReply
-    sequence() -> LabeledSequence | None   (committed labels, possibly fixed
-                                            retroactively at game end)
+    sequence() -> LabeledSequence      (the labels committed so far, possibly
+                                        fixed retroactively at game end)
     claims_realizable                  whether sequence() must have class_error 0
+
+An oblivious adversary fixes its whole labeled run before the first
+prediction, so it is that run: the guessing game, the block-bijection schedule
+and the random samplers each draw a LabeledSequence, and SequenceAdversary
+replays it.  Only MinimaxBanditAdversary reacts to the predictions.
 """
 
 from __future__ import annotations
@@ -23,6 +28,37 @@ from .hypotheses import FiniteClass, LabeledSequence, MultiLabelExample
 class RoundReply:
     correct: bool
     allowed: frozenset[int] | None  # None when labels cannot be revealed yet
+
+
+# ---------------------------------------------------------------------------
+# oblivious adversaries: a fixed run, replayed
+# ---------------------------------------------------------------------------
+
+
+class SequenceAdversary:
+    """Replays a fixed sequence, judging predictions against the allowed sets."""
+
+    def __init__(self, seq: LabeledSequence, claims_realizable: bool):
+        self.seq = seq
+        self.claims_realizable = claims_realizable
+        self.pos = 0
+
+    @property
+    def length(self) -> int:
+        return len(self.seq)
+
+    def next_instance(self) -> int | None:
+        if self.pos >= len(self.seq):
+            return None
+        return self.seq[self.pos].x
+
+    def respond(self, prediction: int) -> RoundReply:
+        ex = self.seq[self.pos]
+        self.pos += 1
+        return RoundReply(prediction in ex.allowed, ex.allowed)
+
+    def sequence(self) -> LabeledSequence:
+        return self.seq[: self.pos]
 
 
 # ---------------------------------------------------------------------------
@@ -145,34 +181,17 @@ def guessing_game(k: int, guesser, rng) -> int:
     return mistakes
 
 
-class GuessingAdversary:
-    """The guessing game wrapped in the adversary protocol: a hidden uniform
-    label on the single instance 0, honest equality feedback."""
-
-    claims_realizable = True
-
-    def __init__(self, fc: FiniteClass, rng):
-        for y in range(fc.k):
-            if fc.eq_mask(0, y) == 0:
-                raise ValueError(
-                    f"class {fc.name!r} realizes no hypothesis with h(0)={y}; "
-                    "the guessing game needs every label available at instance 0"
-                )
-        self.fc = fc
-        self.hidden = int(rng.integers(fc.k))
-        self.rounds = 0
-
-    def next_instance(self) -> int | None:
-        return 0
-
-    def respond(self, prediction: int) -> RoundReply:
-        self.rounds += 1
-        return RoundReply(prediction == self.hidden, frozenset((self.hidden,)))
-
-    def sequence(self) -> LabeledSequence:
-        return tuple(
-            MultiLabelExample(0, frozenset((self.hidden,))) for _ in range(self.rounds)
-        )
+def guessing_sequence(fc: FiniteClass, T: int, rng) -> LabeledSequence:
+    """The guessing game as a fixed run: instance 0, T times, under one
+    uniformly hidden label that every round's honest feedback reveals."""
+    for y in range(fc.k):
+        if fc.eq_mask(0, y) == 0:
+            raise ValueError(
+                f"class {fc.name!r} realizes no hypothesis with h(0)={y}; "
+                "the guessing game needs every label available at instance 0"
+            )
+    hidden = int(rng.integers(fc.k))
+    return (MultiLabelExample(0, frozenset((hidden,))),) * T
 
 
 # ---------------------------------------------------------------------------
@@ -190,50 +209,36 @@ def permutation_floor(delta: int, k: int) -> float:
     return delta * (k - 1) * k / 4
 
 
-class PermutationAdversary:
-    """Oblivious adversary over X = [0,delta) x [0,k) (flattened to j*k+m).
+def permutation_sequence(fc: FiniteClass, delta: int, tape) -> LabeledSequence:
+    """The block schedule over X = [0,delta) x [0,k) (flattened to j*k+m).
 
     Block by block, instance (j, m) is shown k-1-m times with hidden label
     tape[j][m]; the committed labels form a bijection per block, so the run is
-    realizable by the per-block permutation class.  All randomness sits in the
-    up-front tape, never in reactions to predictions.
+    realizable by the per-block permutation class.
     """
+    k = fc.k
+    if fc.n != delta * k:
+        raise ValueError(
+            f"class {fc.name!r} has n={fc.n}; the block schedule needs n = delta*k = {delta * k}"
+        )
+    seq: LabeledSequence = ()
+    for j in range(delta):
+        for m in range(k - 1):
+            seq += (MultiLabelExample(j * k + m, frozenset((tape[j][m],))),) * (k - 1 - m)
+    return seq
 
-    claims_realizable = True
+
+class PermutationAdversary(SequenceAdversary):
+    """The block schedule of a tape, drawn from rng when none is given.  All
+    randomness sits in the up-front tape, never in reactions to predictions."""
 
     def __init__(self, fc: FiniteClass, delta: int, rng=None, tape=None):
-        k = fc.k
-        if fc.n != delta * k:
-            raise ValueError(
-                f"class {fc.name!r} has n={fc.n}; the block schedule needs n = delta*k = {delta * k}"
-            )
         if tape is None:
-            tape = draw_permutation_tape(delta, k, rng)
+            tape = draw_permutation_tape(delta, fc.k, rng)
+        super().__init__(permutation_sequence(fc, delta, tape), claims_realizable=True)
         self.fc = fc
         self.delta = delta
         self.tape = tape
-        self.schedule: list[tuple[int, int]] = []
-        for j in range(delta):
-            for m in range(k - 1):
-                self.schedule.extend([(j * k + m, tape[j][m])] * (k - 1 - m))
-        self.pos = 0
-
-    @property
-    def length(self) -> int:
-        return len(self.schedule)
-
-    def next_instance(self) -> int | None:
-        if self.pos >= len(self.schedule):
-            return None
-        return self.schedule[self.pos][0]
-
-    def respond(self, prediction: int) -> RoundReply:
-        y = self.schedule[self.pos][1]
-        self.pos += 1
-        return RoundReply(prediction == y, frozenset((y,)))
-
-    def sequence(self) -> LabeledSequence:
-        return tuple(MultiLabelExample(x, frozenset((y,))) for x, y in self.schedule[: self.pos])
 
     def committed_row(self) -> tuple[int, ...]:
         """The hiding function as a full table row, f(j, m) = tape[j][m]."""
@@ -342,28 +347,6 @@ def sample_realizable_sequence(
     return tuple(items), h
 
 
-class SequenceAdversary:
-    """Replays a fixed sequence, judging predictions against the allowed sets."""
-
-    def __init__(self, seq: LabeledSequence, claims_realizable: bool):
-        self.seq = seq
-        self.claims_realizable = claims_realizable
-        self.pos = 0
-
-    def next_instance(self) -> int | None:
-        if self.pos >= len(self.seq):
-            return None
-        return self.seq[self.pos].x
-
-    def respond(self, prediction: int) -> RoundReply:
-        ex = self.seq[self.pos]
-        self.pos += 1
-        return RoundReply(prediction in ex.allowed, ex.allowed)
-
-    def sequence(self) -> LabeledSequence:
-        return self.seq[: self.pos]
-
-
 def sample_noise_sequence(fc: FiniteClass, T: int, rng, label_set_size: int = 1) -> LabeledSequence:
     """Uniform instances with uniform label sets; generally not realizable."""
     if not 1 <= label_set_size <= fc.k:
@@ -391,7 +374,7 @@ ADVERSARY_NAMES = (
 def make_adversary(name: str, fc: FiniteClass, T: int, rng):
     base, _, arg = name.partition(":")
     if base == "guessing":
-        return GuessingAdversary(fc, rng)
+        return SequenceAdversary(guessing_sequence(fc, T, rng), claims_realizable=True)
     if base == "permutation":
         delta = int(arg) if arg else 1
         return PermutationAdversary(fc, delta, rng)

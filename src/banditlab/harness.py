@@ -15,11 +15,12 @@ import numpy as np
 
 from . import adversaries, catalog, linear
 from .adversaries import (
-    PermutationAdversary,
+    SequenceAdversary,
     draw_permutation_tape,
     make_adversary,
     make_guesser,
     permutation_floor,
+    permutation_sequence,
 )
 from .dimensions import bldim, ldim
 from .hypotheses import FiniteClass, LabeledSequence, VersionSpace, read_class
@@ -120,7 +121,7 @@ def run_game(cfg: GameConfig) -> list[GameTranscript]:
             raise AssertionError("learner mistake count diverged from the transcript")
         justification = adversary.sequence()
         realizable_ok = None
-        if justification is not None and adversary.claims_realizable:
+        if adversary.claims_realizable:
             realizable_ok = fc.full_space().class_error(justification) == 0
             if not realizable_ok:
                 raise AssertionError(
@@ -143,7 +144,7 @@ def play_bound(cfg: GameConfig, fc: FiniteClass) -> tuple[float, str] | None:
     if lname == "capacity" and (single_label_realizable or aname == "random-realizable"):
         k, L = fc.k, ldim(fc.full_space())
         return 4.0 * k * math.log(k) * L, "<"
-    if lname == "soa" and aname == "random-realizable":
+    if lname == "soa" and single_label_realizable:
         return float(ldim(fc.full_space())), "<="
     if lname == "bsoa" and single_label_realizable:
         return float(bldim(fc.full_space())), "<="
@@ -279,6 +280,30 @@ def _mc_pass(mean: float, stderr: float, bound: float, direction: str) -> bool:
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
+
+
+def _block_schedules(fc: FiniteClass, delta: int, draws) -> tuple[list[LabeledSequence], list]:
+    """Block-schedule games from (tape, learner seed) draws: the sequence of
+    each distinct tape, built once in order of first draw, and each game as
+    (index of its sequence, learner seed)."""
+    tapes: dict[tuple, int] = {}
+    games = [(tapes.setdefault(tape, len(tapes)), lrn_ss) for tape, lrn_ss in draws]
+    return [permutation_sequence(fc, delta, tape) for tape in tapes], games
+
+
+def _schedule_mistakes(start, seqs: list[LabeledSequence], games) -> list[int]:
+    """The mistakes of learner state `start` in each game, a (sequence index,
+    learner seed) pair, played in full against a replay of seqs[index].
+    States are values, so every game starts from `start`; a sequence fixes a
+    deterministic learner's whole game, so it plays each sequence once."""
+
+    def mistakes(seq, rng) -> int:
+        return play(start, SequenceAdversary(seq, True), len(seq), rng)[0].mistakes
+
+    if start.deterministic:
+        per_seq = [mistakes(seq, None) for seq in seqs]
+        return [per_seq[i] for i, _ in games]
+    return [mistakes(seqs[i], np.random.default_rng(lrn_ss)) for i, lrn_ss in games]
 
 
 def preset_thm2_realizable(seed: int, trials: int | None = None, T: int | None = None) -> Report:
@@ -459,21 +484,19 @@ def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = Non
             )
         )
 
-    # lower-bound transfer: the block schedule on embedded points
+    # lower-bound transfer: the block schedule on embedded points; point (j, m)
+    # is the m-th root of unity on coordinate j whatever the tape
     delta, k = 2, 3
     fc = catalog.permutation_class(delta, k)
     floor = permutation_floor(delta, k)
-    cache: dict[tuple, int] = {}  # the tape fixes a deterministic learner's whole game
-    counts = []
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        tape = draw_permutation_tape(delta, k, np.random.default_rng(child))
-        if not (linear.EmbeddedLearner.deterministic and tape in cache):
-            _, graph = linear.roots_of_unity_embedding([list(row) for row in tape])
-            points = {x: graph[x][0] for x in range(delta * k)}
-            adversary = PermutationAdversary(fc, delta, tape=tape)
-            learner = linear.EmbeddedLearner(linear.BanditPerceptron.zeros(k, 2 * delta), points)
-            cache[tape] = play(learner, adversary, adversary.length, None)[0].mistakes
-        counts.append(cache[tape])
+    _, graph = linear.roots_of_unity_embedding([list(range(k))] * delta)
+    points = {x: graph[x][0] for x in range(delta * k)}
+    start = linear.EmbeddedLearner(linear.BanditPerceptron.zeros(k, 2 * delta), points)
+    seqs, games = _block_schedules(fc, delta, (
+        (draw_permutation_tape(delta, k, np.random.default_rng(child)), None)
+        for child in np.random.SeedSequence(seed).spawn(trials)
+    ))
+    counts = _schedule_mistakes(start, seqs, games)
     mean, se = _mean_stderr(counts)
     rows.append(
         ReportRow(
@@ -540,32 +563,21 @@ def _permutation_zoo(delta: int, k: int) -> tuple[str, ...]:
 def preset_claim_permutation(seed: int, trials: int | None = None, T: int | None = None) -> Report:
     """Block-bijection schedule: every bandit learner averages at least
     delta*(k-1)*k/4 mistakes.  Every learner plays the same trials, each a
-    (tape, learner seed) pair drawn once; deterministic learners are replayed
-    from a per-tape cache, since the tape fixes the whole game."""
+    (tape, learner seed) pair drawn once; each distinct tape's sequence is
+    built once and replayed to every learner."""
     trials = 10_000 if trials is None else trials
     rows = []
     for delta, k in ((1, 3), (2, 4)):
         fc = catalog.permutation_class(delta, k)
         horizon = delta * k * (k - 1) // 2
         floor = permutation_floor(delta, k)
-        games = []
+        draws = []
         for child in np.random.SeedSequence(seed).spawn(trials):
             adv_ss, lrn_ss = child.spawn(2)
-            games.append((draw_permutation_tape(delta, k, np.random.default_rng(adv_ss)), lrn_ss))
+            draws.append((draw_permutation_tape(delta, k, np.random.default_rng(adv_ss)), lrn_ss))
+        seqs, games = _block_schedules(fc, delta, draws)
         for lname in _permutation_zoo(delta, k):
-            start = make_learner(lname, fc, horizon)  # states are values: every game starts here
-            cache: dict[tuple, int] = {}
-            counts = []
-            for tape, lrn_ss in games:
-                if start.deterministic and tape in cache:
-                    counts.append(cache[tape])
-                    continue
-                adversary = PermutationAdversary(fc, delta, tape=tape)
-                rng = None if start.deterministic else np.random.default_rng(lrn_ss)
-                learner, _ = play(start, adversary, horizon, rng)
-                counts.append(learner.mistakes)
-                if start.deterministic:
-                    cache[tape] = learner.mistakes
+            counts = _schedule_mistakes(make_learner(lname, fc, horizon), seqs, games)
             mean, se = _mean_stderr(counts)
             rows.append(
                 ReportRow(

@@ -131,9 +131,6 @@ class FiniteClass:
             mask |= 1 << h
         return VersionSpace(self, mask)
 
-    def hypothesis(self, h: int) -> tuple[int, ...]:
-        return self.table[h]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteClass):
             return NotImplemented
@@ -200,22 +197,6 @@ class VersionSpace:
             self.cls.check_label(y)
             allowed_mask |= self.cls.eq_mask(x, y)
         return VersionSpace(self.cls, self.mask & allowed_mask)
-
-    def is_realizable(self, seq: "LabeledSequence") -> bool:
-        """True iff some member picks an allowed label at every round.
-
-        The empty space realizes only the empty sequence (convention: with no
-        members there is no witness, but a zero-length run constrains nothing).
-        """
-        if not seq:
-            return True
-        if self.is_empty:
-            return False
-        _check_sequence(self.cls, seq)
-        table = self.cls.table
-        return any(
-            all(table[h][ex.x] in ex.allowed for ex in seq) for h in self.members()
-        )
 
     def class_error(self, seq: "LabeledSequence") -> int:
         """Minimum over members of the number of rounds whose allowed set is missed."""

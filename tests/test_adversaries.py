@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from banditlab import (
-    GuessingAdversary,
     MinimaxBanditAdversary,
     PermutationAdversary,
     bldim,
@@ -15,7 +14,9 @@ from banditlab import (
     make_adversary,
     make_guesser,
     make_learner,
+    make_sequence,
     permutation_class,
+    permutation_sequence,
     play,
     sample_realizable_sequence,
 )
@@ -110,10 +111,20 @@ def test_guessing_game_rejects_tiny_k():
 
 def test_guessing_adversary_requires_all_labels_at_zero():
     rng = np.random.default_rng(0)
-    GuessingAdversary(constants_class(1, 4), rng)  # fine
+    make_adversary("guessing", constants_class(1, 4), 5, rng)  # fine
     missing = subclass(full_class(1, 3), 0b011)  # no row with h(0)=2
     with pytest.raises(ValueError):
-        GuessingAdversary(missing, rng)
+        make_adversary("guessing", missing, 5, rng)
+
+
+def test_guessing_adversary_ends_after_T_rounds_on_one_hidden_label():
+    fc = constants_class(1, 4)
+    adv = make_adversary("guessing", fc, 5, np.random.default_rng(2))
+    learner, rounds = play(make_learner("cycling", fc, 50), adv, 50, None)
+    assert len(rounds) == 5 and adv.next_instance() is None
+    assert {r.x for r in rounds} == {0}
+    assert len({r.allowed for r in rounds}) == 1
+    assert fc.full_space().class_error(adv.sequence()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +134,9 @@ def test_guessing_adversary_requires_all_labels_at_zero():
 
 def test_permutation_schedule_structure():
     fc = permutation_class(1, 3)
-    adv = PermutationAdversary(fc, 1, tape=((1, 2, 0),))
+    tape = ((1, 2, 0),)
+    adv = PermutationAdversary(fc, 1, tape=tape)
+    assert adv.seq == permutation_sequence(fc, 1, tape) == make_sequence([(0, {1}), (0, {1}), (1, {2})])
     xs = []
     while (x := adv.next_instance()) is not None:
         xs.append(x)

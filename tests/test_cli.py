@@ -30,6 +30,18 @@ def test_play_without_a_bound_exits_zero(capsys):
     assert row.startswith("0,") and row.endswith(",,")
 
 
+def test_soa_on_multi_label_runs_claims_no_ceiling(capsys):
+    # with two-label sets SOA can miss twice on full:1x3, whose ldim is 1
+    args = [
+        "play", "--class", "full:1x3", "--learner", "soa", "--adversary", "random-realizable:2",
+        "--T", "10", "--trials", "20", "--seed", "1",
+    ]
+    assert cli.main(args) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 20 and all(row.endswith(",,") for row in rows)
+    assert max(int(row.split(",")[1]) for row in rows) == 2
+
+
 def test_experts_counts_without_enumerating(capsys):
     assert cli.main(["experts", "--class", "full:4x2", "--T", "1000"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,6 @@
 import hashlib
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -86,6 +88,10 @@ def test_play_bounds_resolution():
         GameConfig(fc, "soa", "random-realizable:1", T=10), fc
     )
     assert (value, direction) == (1.0, "<=")
+    # the SOA ceiling needs singleton label sets: after a miss, the union of
+    # two restrictions can keep the Littlestone dimension
+    assert play_bound(GameConfig(fc, "soa", "random-realizable:2", T=10), fc) is None
+    assert play_bound(GameConfig(fc, "soa", "guessing", T=10), fc) == (1.0, "<=")
     assert play_bound(GameConfig(fc, "cycling", "noise:1", T=10), fc) is None
 
 
@@ -105,16 +111,39 @@ def test_play_stops_at_the_end_of_the_schedule():
     assert adversary.next_instance() is None
 
 
-def test_play_gives_a_full_information_learner_the_revealed_sets():
-    fc = full_class(2, 3)
-    adversary = make_adversary("random-realizable:2", fc, 12, np.random.default_rng(3))
-    learner, rounds = play(make_learner("soa", fc, 12), adversary, 12, None)
-    space = fc.full_space()
-    for r in rounds:
-        space = space.restrict_in(r.x, r.allowed)
-    assert space != fc.full_space()
-    assert learner.space == space
-    assert [(r.x, r.allowed) for r in rounds] == [(ex.x, ex.allowed) for ex in adversary.sequence()]
+@dataclass(frozen=True)
+class FeedbackRecorder:
+    """A full-information learner that always predicts label 0 and keeps the
+    feedback of every round."""
+
+    kind: ClassVar[str] = "full"
+    deterministic: ClassVar[bool] = True
+    seen: tuple = ()
+
+    def predict(self, x, rng):
+        return 0
+
+    def update(self, x, prediction, feedback):
+        return FeedbackRecorder(self.seen + ((x, feedback.allowed),))
+
+
+@pytest.mark.parametrize("aname", ["guessing", "permutation:1", "random-realizable:2", "noise:2"])
+def test_play_gives_a_full_information_learner_the_revealed_sets(aname):
+    fc = permutation_class(1, 3)
+    adversary = make_adversary(aname, fc, 12, np.random.default_rng(3))
+    learner, rounds = play(FeedbackRecorder(), adversary, 12, None)
+    revealed = [(ex.x, ex.allowed) for ex in adversary.sequence()]
+    assert [(r.x, r.allowed) for r in rounds] == revealed == list(learner.seen)
+    assert all(r.correct == (r.prediction in r.allowed) for r in rounds)
+    if adversary.claims_realizable:
+        # SOA keeps exactly the hypotheses that fit every revealed set
+        adversary = make_adversary(aname, fc, 12, np.random.default_rng(3))
+        soa, _ = play(make_learner("soa", fc, 12), adversary, 12, None)
+        space = fc.full_space()
+        for x, allowed in revealed:
+            space = space.restrict_in(x, allowed)
+        assert space != fc.full_space()
+        assert soa.space == space
 
 
 def test_play_refuses_a_full_information_learner_an_unrevealed_round():
@@ -233,6 +262,7 @@ def test_claim_permutation_builds_generators_only_for_randomized_learners(monkey
 PINNED_CSV_SHA256 = {
     ("claim-guessing", 2000): "64e987470d4d877b6cb50661ae5c9b4e666620fe18d94eef63445237d54cce76",
     ("claim-permutation", 300): "a5884e0a5481788cc840fc625f90febc0f9a72ba365e5fdae4f4b274c0d74330",
+    ("dim-ratio", 1): "138d64b4da963ecbbb7ec03aeb7c25791070cb6309abcc1d0ae6c087db5766b2",
     ("thm4-linear", 100): "22f12db3e9fa9a9de10ca4fb46ad4deadbbc92d3c7c4ce8cf606bee90402eb03",
     ("thm4-linear", 2000): "acd69c31da7580d725d8e44a72c8b5604935acde71c17469eafa4134430e8723",
     ("thm2-realizable", 10): "102be97181c4f7ee727f2e9bab9aaa6271a2d228b0b5c41d43f7fb6619c1866c",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditlab import PermutationAdversary, permutation_class, play
+from banditlab import PermutationAdversary, permutation_class, permutation_sequence, play
 from banditlab.linear import (
     BanditPerceptron,
     EmbeddedLearner,
@@ -306,15 +306,17 @@ def test_embedded_learner_through_play_matches_the_direct_loop(delta, k):
     for tape in product(permutations(range(k)), repeat=delta):
         _, graph = roots_of_unity_embedding([list(row) for row in tape])
         points = {x: graph[x][0] for x in range(delta * k)}
-        adversary = PermutationAdversary(fc, delta, tape=tape)
-        # reference: the Perceptron walked over the schedule's points and labels
+        seq = permutation_sequence(fc, delta, tape)
+        # reference: the Perceptron walked over the sequence's points and labels
         direct = BanditPerceptron.zeros(k, 2 * delta)
-        for x, y in adversary.schedule:
-            pred = direct.predict(points[x])
-            direct = direct.update(points[x], pred, pred == y)
+        for ex in seq:
+            (y,) = ex.allowed
+            pred = direct.predict(points[ex.x])
+            direct = direct.update(points[ex.x], pred, pred == y)
+        adversary = PermutationAdversary(fc, delta, tape=tape)
         learner = EmbeddedLearner(BanditPerceptron.zeros(k, 2 * delta), points)
         learner, rounds = play(learner, adversary, adversary.length, None)
-        assert len(rounds) == len(adversary.schedule)
+        assert len(rounds) == len(seq)
         assert learner.mistakes == direct.mistakes
         assert np.array_equal(learner.inner.weights, direct.weights)
         total += direct.mistakes
