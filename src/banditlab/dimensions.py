@@ -49,7 +49,7 @@ bound.  With best the largest value found so far at V:
   an earlier one has the same value and is skipped.
 
 Scaling, on a 2-core machine with Python 3.11: bldim(perm:2x4) = 12 takes
-about 5 s, 311k memo entries and 64 MiB (the unpruned recursion had not
+about 6.4 s, 311k memo entries and 64 MiB (the unpruned recursion had not
 finished after 65 s and 3.1M entries), and bldim(perm:1x5) = 10 about 21 s,
 1.7M entries and 231 MiB.  ldim on a random 40x40 binary table takes
 milliseconds (unpruned: 6 s and 144k entries).  bldim still explores spaces cut out by

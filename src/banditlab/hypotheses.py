@@ -296,8 +296,10 @@ def write_class(cls: FiniteClass, path: str | Path) -> None:
     Path(path).write_text(dumps_class(cls))
 
 
-def load_sequence(text: str) -> LabeledSequence:
-    """Parse a sequence document: a JSON list of {"x": ..., "allowed": [...]} records."""
+def load_sequence(text: str, cls: FiniteClass | None = None) -> LabeledSequence:
+    """Parse a sequence document: a JSON list of {"x": ..., "allowed": [...]} records.
+    Given a class, an instance outside [0, n) or a label outside [0, k) is
+    refused too."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -312,7 +314,10 @@ def load_sequence(text: str) -> LabeledSequence:
         if not isinstance(allowed, list):
             raise ValueError(f"record {i} allowed must be a list of labels, got {allowed!r}")
         try:  # MultiLabelExample refuses an instance or label that is not a nonnegative integer
-            out.append(MultiLabelExample(rec["x"], allowed))
+            ex = MultiLabelExample(rec["x"], allowed)
+            if cls is not None:
+                _check_sequence(cls, (ex,))
+            out.append(ex)
         except ValueError as err:
             raise ValueError(f"bad sequence record {i}: {err}") from None
     return tuple(out)
@@ -323,8 +328,8 @@ def dumps_sequence(seq: LabeledSequence) -> str:
     return json.dumps(doc, indent=2)
 
 
-def read_sequence(path: str | Path) -> LabeledSequence:
-    return load_sequence(Path(path).read_text())
+def read_sequence(path: str | Path, cls: FiniteClass | None = None) -> LabeledSequence:
+    return load_sequence(Path(path).read_text(), cls)
 
 
 def write_sequence(seq: LabeledSequence, path: str | Path) -> None:

@@ -66,6 +66,14 @@ def test_rejected_input_exits_two_with_a_message(argv, message, capsys):
     assert err.startswith("banditlab: error: ") and message in err
 
 
+def test_claim_guessing_does_not_fail_by_chance(capsys):
+    # at three sample standard errors the k=4 non-repeating "=" row failed
+    # here, reading 2.02 against 1.5, though the guesser's mean is exactly 1.5
+    argv = ["experiment", "claim-guessing", "--seed", "2", "--trials", "50"]
+    assert cli.main(argv) == 0
+    assert "k=4,nonrepeating,guessing,3,50,2,2.02," in capsys.readouterr().out
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(banditlab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -8,6 +8,7 @@ import pytest
 from banditlab import (
     full_class,
     harness,
+    learners,
     linear,
     make_adversary,
     make_learner,
@@ -16,6 +17,7 @@ from banditlab import (
     run_experiment,
     run_game,
 )
+from banditlab.adversaries import NonRepeatingGuesser, SequenceAdversary, draw_permutation_tape
 from banditlab.catalog import subclass
 from banditlab.harness import (
     CSV_COLUMNS,
@@ -25,7 +27,7 @@ from banditlab.harness import (
     play_bound,
     resolve_class,
 )
-from banditlab.hypotheses import dumps_class
+from banditlab.hypotheses import RealizabilityViolation, dumps_class
 
 
 def test_run_game_is_deterministic():
@@ -52,7 +54,7 @@ def test_soa_within_dimension_on_realizable_games():
 
 def test_full_info_learner_rejected_by_minimax():
     cfg = GameConfig("full:1x3", "soa", "minimax", T=5, trials=1, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="round 1 to the full-information SOALearner$"):
         run_game(cfg)
 
 
@@ -253,19 +255,159 @@ def test_claim_permutation_builds_generators_only_for_randomized_learners(monkey
         assert (rng is None) == learner.deterministic
 
 
+# ---------------------------------------------------------------------------
+# the game tree of a deterministic learner, against fresh learners per game
+# ---------------------------------------------------------------------------
+
+
+def _permutation_games(delta, k, trials, seed):
+    """A class and its block schedules from seeded (tape, learner seed)
+    draws, as claim-permutation draws them."""
+    fc = permutation_class(delta, k)
+    draws = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        adv_ss, lrn_ss = child.spawn(2)
+        draws.append((draw_permutation_tape(delta, k, np.random.default_rng(adv_ss)), lrn_ss))
+    return (fc, *harness._block_schedules(fc, delta, draws))
+
+
+def _fresh_schedule_mistakes(fc, lname, horizon, seqs, games):
+    """Every game played in full through `play` from a fresh, unwrapped learner."""
+    out = []
+    for i, lrn_ss in games:
+        learner = make_learner(lname, fc, horizon)
+        rng = None if learner.deterministic else np.random.default_rng(lrn_ss)
+        out.append(play(learner, SequenceAdversary(seqs[i], True), len(seqs[i]), rng)[0].mistakes)
+    return out
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("delta, k", [(1, 3), (2, 4)])
+def test_schedule_mistakes_match_fresh_learners_on_every_game(delta, k, seed):
+    fc, seqs, games = _permutation_games(delta, k, 80, seed)
+    horizon = delta * k * (k - 1) // 2
+    for lname in harness._permutation_zoo(delta, k) + ("soa",):
+        expected = _fresh_schedule_mistakes(fc, lname, horizon, seqs, games)
+        got = harness._schedule_mistakes(make_learner(lname, fc, horizon), seqs, games)
+        assert got == expected, lname
+
+
+def _fresh_run_game(cfg):
+    """run_game's trials as (rounds, mistakes, justification), each played
+    through `play` from a fresh, unwrapped learner."""
+    fc = resolve_class(cfg.klass)
+    out = []
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.trials):
+        adv_ss, lrn_ss = child.spawn(2)
+        adversary = make_adversary(cfg.adversary, fc, cfg.T, np.random.default_rng(adv_ss))
+        learner = make_learner(cfg.learner, fc, cfg.T)
+        learner, rounds = play(learner, adversary, cfg.T, np.random.default_rng(lrn_ss))
+        out.append((rounds, learner.mistakes, adversary.sequence()))
+    return out
+
+
+@pytest.mark.parametrize("lname", ["capacity", "bsoa", "soa-bandit", "constant", "cycling"])
+@pytest.mark.parametrize(
+    "spec, aname",
+    [
+        ("perm:1x3", "minimax"),
+        ("perm:1x3", "guessing"),
+        ("perm:1x3", "permutation:1"),
+        ("perm:1x3", "random-realizable:1"),
+        ("perm:1x3", "random-realizable:2"),
+        ("full:2x3", "minimax"),
+        ("full:2x3", "random-realizable:1"),
+        ("full:2x3", "random-realizable:2"),
+    ],
+)
+def test_run_game_transcripts_match_fresh_learners_per_trial(lname, spec, aname):
+    cfg = GameConfig(spec, lname, aname, T=10, trials=40, seed=3)
+    try:
+        expected = _fresh_run_game(cfg)
+    except RealizabilityViolation:  # the learner refuses the adversary's runs
+        with pytest.raises(RealizabilityViolation):
+            run_game(cfg)
+        return
+    assert [(t.rounds, t.mistakes, t.justification) for t in run_game(cfg)] == expected
+
+
+def test_the_tree_computes_shared_capacity_steps_once(monkeypatch):
+    calls = []
+    predict = learners.CapacityLearner.predict
+
+    def counted(self, x, rng=None):
+        calls.append(x)
+        return predict(self, x, rng)
+
+    monkeypatch.setattr(learners.CapacityLearner, "predict", counted)
+    fc, seqs, games = _permutation_games(2, 4, 100, seed=7)
+    horizon = 12
+    harness._schedule_mistakes(make_learner("capacity", fc, horizon), seqs, games)
+    # sequences that share a prefix share its predictions, so there are far
+    # fewer than one per round of every game, or of every distinct sequence
+    assert len(calls) < len(games) * horizon
+    assert len(calls) < len(seqs) * horizon / 4
+    calls.clear()
+    cfg = GameConfig("full:2x3", "capacity", "random-realizable:1", T=24, trials=100, seed=7)
+    run_game(cfg)
+    assert len(calls) < cfg.trials * cfg.T / 4
+
+
+def test_randomized_learners_are_never_wrapped(monkeypatch):
+    games = _recording_play(monkeypatch)
+    run_game(GameConfig("full:1x3", "random", "random-realizable:1", T=5, trials=3, seed=1))
+    run_game(GameConfig("full:1x3", "exp4", "random-realizable:1", T=5, trials=3, seed=1))
+    run_game(GameConfig("full:1x3", "cycling", "random-realizable:1", T=5, trials=3, seed=1))
+    kinds = [type(learner) for learner, _ in games]
+    assert kinds == [learners.RandomLearner] * 3 + [learners.Exp4Learner] * 3 + [harness._Replayed] * 3
+
+
+# ---------------------------------------------------------------------------
+# the non-repeating guesser's rows
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_a_nonrepeating_guesser_off_by_five_hundredths_fails(monkeypatch, shift):
+    trials = 100_000  # the preset's default
+    for k in range(2, 9):
+        bound, slack = (k - 1) / 2, harness._uniform_count_slack(k, trials)
+        assert bound_holds(bound, bound, "=", slack)
+        assert not bound_holds(bound + 0.05 * shift, bound, "=", slack)
+    exact = NonRepeatingGuesser.wrong_guesses
+
+    def biased(self, hidden):  # a planted bias: one wrong guess more (or fewer) every 20th game
+        counts = exact(self, hidden)
+        counts[::20] += shift
+        return counts
+
+    monkeypatch.setattr(NonRepeatingGuesser, "wrong_guesses", biased)
+    report = run_experiment("claim-guessing", seed=7)
+    rows = [r for r in report.rows if r.learner == "nonrepeating"]
+    assert len(rows) == 14
+    assert [r.passed for r in rows if r.direction == "="] == [False] * 7
+    assert [r.passed for r in rows if r.direction == ">="] == [shift > 0] * 7
+    assert all(r.passed for r in report.rows if r.learner != "nonrepeating")
+
+
 # sha256 of preset CSVs at seed 7, recorded before the presets' games were
 # batched into array operations and shared tapes (thm3-agnostic: before its
 # games went through `play`; thm4-linear at its default 2000 trials, where all
 # 36 embedded tapes recur: before its Perceptron streams ran as one batch and
-# its tapes were played once each); any change to a preset's random draw
-# layout, or to what its learners play, moves them
+# its tapes were played once each; claim-permutation at 100 and
+# thm2-realizable at 20 trials, the benchmark's call sizes, where games share
+# the most prefixes: before deterministic learners walked one game tree per
+# call); any change to a preset's random draw layout, or to what its learners
+# play, moves them
 PINNED_CSV_SHA256 = {
     ("claim-guessing", 2000): "64e987470d4d877b6cb50661ae5c9b4e666620fe18d94eef63445237d54cce76",
+    ("claim-permutation", 100): "f0a794ec60820783dc4d83385414368b1a5771d9120c87a28a60708345a0ca59",
     ("claim-permutation", 300): "a5884e0a5481788cc840fc625f90febc0f9a72ba365e5fdae4f4b274c0d74330",
     ("dim-ratio", 1): "138d64b4da963ecbbb7ec03aeb7c25791070cb6309abcc1d0ae6c087db5766b2",
     ("thm4-linear", 100): "22f12db3e9fa9a9de10ca4fb46ad4deadbbc92d3c7c4ce8cf606bee90402eb03",
     ("thm4-linear", 2000): "acd69c31da7580d725d8e44a72c8b5604935acde71c17469eafa4134430e8723",
     ("thm2-realizable", 10): "102be97181c4f7ee727f2e9bab9aaa6271a2d228b0b5c41d43f7fb6619c1866c",
+    ("thm2-realizable", 20): "c8362eb2ef8af85b0e21e337bb84f19024520758e1d309f0281e9130fddfe325",
     ("thm3-agnostic", 4): "f00b4d08fc9619926f66832c0cba987a669e27cc24733f63b38fdf9428c8c57a",
 }
 PINNED_T = {"thm3-agnostic": 40}  # the others run at their default horizon

@@ -14,6 +14,8 @@ from banditlab import (
     load_class,
     load_sequence,
     make_sequence,
+    read_sequence,
+    write_sequence,
 )
 
 
@@ -156,6 +158,35 @@ def test_multilabel_example_takes_numpy_integers_as_ints():
 def test_load_sequence_reads_a_valid_document():
     text = json.dumps([{"x": 2, "allowed": [1, 0]}, {"x": 0, "allowed": [3]}])
     assert load_sequence(text) == make_sequence([(2, {0, 1}), (0, {3})])
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"x": 3, "allowed": [0]}, "bad sequence record 1: instance 3 outside [0, 3)"),
+        ({"x": 1, "allowed": [0, 2]}, "bad sequence record 1: label 2 outside [0, 2)"),
+    ],
+)
+def test_load_sequence_against_a_class_refuses_what_the_class_lacks(record, message, tmp_path):
+    fc = full_class(3, 2)
+    text = json.dumps([{"x": 0, "allowed": [1]}, record])
+    load_sequence(text)  # well formed without a class
+    with pytest.raises(ValueError) as err:
+        load_sequence(text, fc)
+    assert str(err.value) == message
+    path = tmp_path / "seq.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="bad sequence record 1"):
+        read_sequence(path, fc)
+
+
+def test_load_sequence_against_a_class_reads_a_valid_document(tmp_path):
+    fc = full_class(3, 2)
+    seq = make_sequence([(2, {0, 1}), (0, {1}), (1, {0})])
+    assert load_sequence(dumps_sequence(seq), fc) == seq
+    path = tmp_path / "seq.json"
+    write_sequence(seq, path)
+    assert read_sequence(path, fc) == read_sequence(path) == seq
 
 
 # ---------------------------------------------------------------------------
