@@ -42,7 +42,6 @@ from .hypotheses import (
     make_sequence,
     read_class,
     read_sequence,
-    write_class,
     write_sequence,
 )
 from .linear import (
@@ -53,7 +52,6 @@ from .linear import (
     roots_of_unity_embedding,
     roots_of_unity_gap,
     standard_basis_embedding,
-    unit_gap_scaled,
 )
 from .learners import (
     BanditFeedback,
@@ -67,7 +65,6 @@ from .learners import (
     best_expert_loss,
     exp4_gamma,
     expert_count,
-    imitating_expert,
     make_learner,
     soa_prediction,
 )

@@ -236,13 +236,6 @@ class PermutationAdversary(SequenceAdversary):
         if tape is None:
             tape = draw_permutation_tape(delta, fc.k, rng)
         super().__init__(permutation_sequence(fc, delta, tape), claims_realizable=True)
-        self.fc = fc
-        self.delta = delta
-        self.tape = tape
-
-    def committed_row(self) -> tuple[int, ...]:
-        """The hiding function as a full table row, f(j, m) = tape[j][m]."""
-        return tuple(self.tape[j][m] for j in range(self.delta) for m in range(self.fc.k))
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +257,11 @@ class MinimaxBanditAdversary:
 
     claims_realizable = True
 
-    def __init__(self, fc: FiniteClass, rng=None):
+    def __init__(self, fc: FiniteClass):
         self.fc = fc
         self.space = fc.full_space()
         self.committed: int | None = None
         self.rounds: list[tuple[int, int]] = []  # (x, prediction)
-        self.forced_rounds = 0
         self.bldim_trace: list[int] = [bldim(self.space)]
         self._pending: int | None = None
 
@@ -301,7 +293,6 @@ class MinimaxBanditAdversary:
         x = self._pending
         self.rounds.append((x, prediction))
         if self.committed is None:
-            self.forced_rounds += 1
             self.space = self.space.restrict_ne(x, prediction)
             self.bldim_trace.append(bldim(self.space))
             return RoundReply(False, None)
@@ -379,7 +370,7 @@ def make_adversary(name: str, fc: FiniteClass, T: int, rng):
         delta = int(arg) if arg else 1
         return PermutationAdversary(fc, delta, rng)
     if base == "minimax":
-        return MinimaxBanditAdversary(fc, rng)
+        return MinimaxBanditAdversary(fc)
     if base == "random-realizable":
         setsize = int(arg) if arg else 1
         seq, _ = sample_realizable_sequence(fc, T, rng, setsize)

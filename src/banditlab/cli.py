@@ -31,17 +31,20 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_play(args) -> int:
-    cfg = GameConfig(args.klass, args.learner, args.adversary, args.T, args.trials, args.seed)
+    fc = resolve_class(args.klass)
+    cfg = GameConfig(fc, args.learner, args.adversary, args.T, args.trials, args.seed)
+    transcripts = run_game(cfg)
+    bound = harness.play_bound(cfg, fc)
     lines = ["trial,mistakes,bound,within_bound"]
     all_within = True
-    for t in run_game(cfg):
-        if not t.bounds:
-            lines.append(f"{t.trial},{t.mistakes},,")
+    for trial, t in enumerate(transcripts):
+        if bound is None:
+            lines.append(f"{trial},{t.mistakes},,")
             continue
-        value = t.bounds["bound"]
-        within = bound_holds(t.mistakes, value, t.bounds["direction"])
+        value, direction = bound
+        within = bound_holds(t.mistakes, value, direction)
         all_within &= within
-        lines.append(f"{t.trial},{t.mistakes},{value!r},{str(within).lower()}")
+        lines.append(f"{trial},{t.mistakes},{value!r},{str(within).lower()}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -29,8 +29,6 @@ from .learners import (
     BanditFeedback,
     FullInfoFeedback,
     best_expert_loss,
-    expert_count,
-    expert_count_bound_holds,
     learner_class,
     make_learner,
 )
@@ -63,12 +61,9 @@ class RoundRecord:
 
 @dataclass
 class GameTranscript:
-    trial: int
     rounds: list[RoundRecord]
     mistakes: int
-    justification: LabeledSequence | None
-    realizable_ok: bool | None
-    bounds: dict = field(default_factory=dict)
+    justification: LabeledSequence
 
 
 def resolve_class(source: str | FiniteClass) -> FiniteClass:
@@ -142,28 +137,24 @@ def run_game(cfg: GameConfig) -> list[GameTranscript]:
     fc = resolve_class(cfg.klass)
     if cfg.T < 1 or cfg.trials < 1:
         raise ValueError("T and trials must be >= 1")
-    bound = play_bound(cfg, fc)
-    bounds = {} if bound is None else {"bound": bound[0], "direction": bound[1]}
     start = make_learner(cfg.learner, fc, cfg.T)
     if start.deterministic:
         start = _Replayed(start)
     out = []
-    for trial, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.trials):
         adv_ss, lrn_ss = child.spawn(2)
         adversary = make_adversary(cfg.adversary, fc, cfg.T, np.random.default_rng(adv_ss))
-        learner, rounds = play(start, adversary, cfg.T, np.random.default_rng(lrn_ss))
+        rng = None if start.deterministic else np.random.default_rng(lrn_ss)
+        learner, rounds = play(start, adversary, cfg.T, rng)
         mistakes = sum(not r.correct for r in rounds)
         if learner.mistakes != mistakes:
             raise AssertionError("learner mistake count diverged from the transcript")
         justification = adversary.sequence()
-        realizable_ok = None
-        if adversary.claims_realizable:
-            realizable_ok = fc.full_space().class_error(justification) == 0
-            if not realizable_ok:
-                raise AssertionError(
-                    f"adversary {cfg.adversary!r} failed to justify its run as realizable"
-                )
-        out.append(GameTranscript(trial, rounds, mistakes, justification, realizable_ok, dict(bounds)))
+        if adversary.claims_realizable and fc.full_space().class_error(justification) != 0:
+            raise AssertionError(
+                f"adversary {cfg.adversary!r} failed to justify its run as realizable"
+            )
+        out.append(GameTranscript(rounds, mistakes, justification))
     return out
 
 
@@ -198,30 +189,28 @@ CSV_COLUMNS = (
 
 @dataclass
 class ReportRow:
-    preset: str
     klass: str
     learner: str
     adversary: str
     T: int
     trials: int
-    seed: int
     mean_mistakes: float
     stderr: float
     bound: float
     direction: str  # "<", "<=", ">=", "=", "info"
     passed: bool | None  # None for info rows
 
-    def to_csv(self) -> str:
+    def to_csv(self, preset: str, seed: int) -> str:
         passed = "" if self.passed is None else str(self.passed).lower()
         return ",".join(
             [
-                self.preset,
+                preset,
                 self.klass,
                 self.learner,
                 self.adversary,
                 str(self.T),
                 str(self.trials),
-                str(self.seed),
+                str(seed),
                 repr(float(self.mean_mistakes)),
                 repr(float(self.stderr)),
                 repr(float(self.bound)),
@@ -244,7 +233,8 @@ class Report:
         return all(row.passed is not False for row in self.rows)
 
     def to_csv(self) -> str:
-        return "\n".join([CSV_COLUMNS] + [row.to_csv() for row in self.rows]) + "\n"
+        lines = [row.to_csv(self.preset, self.seed) for row in self.rows]
+        return "\n".join([CSV_COLUMNS] + lines) + "\n"
 
     def to_json(self) -> dict:
         return {
@@ -260,7 +250,7 @@ class Report:
                     "adversary": r.adversary,
                     "T": r.T,
                     "trials": r.trials,
-                    "seed": r.seed,
+                    "seed": self.seed,
                     "mean_mistakes": r.mean_mistakes,
                     "stderr": r.stderr,
                     "bound": r.bound,
@@ -373,8 +363,8 @@ def preset_thm2_realizable(seed: int, trials: int | None = None, T: int | None =
         mean, se = _mean_stderr(counts)
         rows.append(
             ReportRow(
-                "thm2-realizable", spec, "capacity", "random-realizable:1",
-                T, trials, seed, mean, se, bound, "<", max(counts) < bound,
+                spec, "capacity", "random-realizable:1",
+                T, trials, mean, se, bound, "<", max(counts) < bound,
             )
         )
         # bandit-to-full-info mistake ratio on matched runs: an estimate only,
@@ -384,8 +374,8 @@ def preset_thm2_realizable(seed: int, trials: int | None = None, T: int | None =
         if full_mean > 0:
             rows.append(
                 ReportRow(
-                    "thm2-realizable", spec, "pob-estimate", "random-realizable:1",
-                    T, trials, seed, mean / full_mean, 0.0,
+                    spec, "pob-estimate", "random-realizable:1",
+                    T, trials, mean / full_mean, 0.0,
                     8.0 * k * math.log(k), "info", None,
                 )
             )
@@ -404,16 +394,11 @@ def preset_thm3_agnostic(seed: int, trials: int | None = None, T: int | None = N
     trials = 50 if trials is None else trials
     T = 200 if T is None else T
     rows = []
-    notes = []
     ss = np.random.SeedSequence(seed)
     for spec in ("full:1x3", "full:2x3"):
         fc = catalog.parse_spec(spec)
         k, L = fc.k, ldim(fc.full_space())
         bound = math.e * math.sqrt(k * T * L * math.log(T * k))
-        if not expert_count_bound_holds(T, k, L):
-            notes.append(
-                f"{spec}: exact expert count {expert_count(T, k, L)} exceeds (T*k+1)^ldim"
-            )
         for aname in ("random-realizable:1", "noise:1"):
             regrets = []
             excess = []  # best expert loss minus best hypothesis loss, per trial
@@ -429,14 +414,14 @@ def preset_thm3_agnostic(seed: int, trials: int | None = None, T: int | None = N
             mean, se = _mean_stderr(regrets)
             rows.append(
                 ReportRow(
-                    "thm3-agnostic", spec, "exp4", aname,
-                    T, trials, seed, mean, se, bound, "<=", _mc_pass(mean, se, bound, "<="),
+                    spec, "exp4", aname,
+                    T, trials, mean, se, bound, "<=", _mc_pass(mean, se, bound, "<="),
                 )
             )
             rows.append(
                 ReportRow(
-                    "thm3-agnostic", spec, "best-expert", aname,
-                    T, trials, seed, max(excess), 0.0, 0.0, "<=", max(excess) <= 0,
+                    spec, "best-expert", aname,
+                    T, trials, max(excess), 0.0, 0.0, "<=", max(excess) <= 0,
                 )
             )
     return Report(
@@ -444,7 +429,6 @@ def preset_thm3_agnostic(seed: int, trials: int | None = None, T: int | None = N
         seed,
         "agnostic bandit regret ceiling e*sqrt(k*T*ldim(H)*ln(T*k)) for the expert pipeline",
         rows,
-        notes,
     )
 
 
@@ -467,14 +451,14 @@ def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = Non
         gap_bound = linear.roots_of_unity_gap(k)
         rows.append(
             ReportRow(
-                "thm4-linear", name, "-", "min-gap", 0, 1, seed,
+                name, "-", "min-gap", 0, 1,
                 min_gap, 0.0, gap_bound, "=", abs(min_gap - gap_bound) <= 1e-9,
             )
         )
         norm_sq = linear.frobenius_norm(w) ** 2
         rows.append(
             ReportRow(
-                "thm4-linear", name, "-", "norm-sq", 0, 1, seed,
+                name, "-", "norm-sq", 0, 1,
                 norm_sq, 0.0, float(delta * k**5), "=",
                 abs(norm_sq - delta * k**5) <= 1e-9 * max(1.0, delta * k**5),
             )
@@ -482,7 +466,7 @@ def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = Non
         report = linear.embedding_norm_report(delta, k)
         rows.append(
             ReportRow(
-                "thm4-linear", name, "-", "threshold-k^3*d", 0, 1, seed,
+                name, "-", "threshold-k^3*d", 0, 1,
                 report["normalized_norm_sq"], 0.0, report["threshold_norm_sq"],
                 "info", None,
             )
@@ -500,8 +484,8 @@ def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = Non
         worst = int(linear.perceptron_mistakes(points[idx], labels[idx], k)[0].max())
         rows.append(
             ReportRow(
-                "thm4-linear", name, "perceptron", "stream", stream_len,
-                runs, seed, worst, 0.0, 2.0 * d_sq, "<=",
+                name, "perceptron", "stream", stream_len,
+                runs, worst, 0.0, 2.0 * d_sq, "<=",
                 worst <= 2.0 * d_sq,
             )
         )
@@ -513,14 +497,14 @@ def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = Non
         _, min_gap = linear.check_margin_realization(w, graph)
         rows.append(
             ReportRow(
-                "thm4-linear", name, "-", "min-gap", 0, 1, seed,
+                name, "-", "min-gap", 0, 1,
                 min_gap, 0.0, 1.0, "=", abs(min_gap - 1.0) <= 1e-9,
             )
         )
         norm_sq = linear.frobenius_norm(w) ** 2
         rows.append(
             ReportRow(
-                "thm4-linear", name, "-", "norm-sq", 0, 1, seed,
+                name, "-", "norm-sq", 0, 1,
                 norm_sq, 0.0, float(L), "=", abs(norm_sq - L) <= 1e-9,
             )
         )
@@ -531,8 +515,8 @@ def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = Non
         worst = int(linear.perceptron_mistakes(np.eye(L)[idx], labels, k)[0].max())
         rows.append(
             ReportRow(
-                "thm4-linear", name, "perceptron", "stream", stream_len,
-                runs, seed, worst, 0.0, 2.0 * L, "<=", worst <= 2.0 * L,
+                name, "perceptron", "stream", stream_len,
+                runs, worst, 0.0, 2.0 * L, "<=", worst <= 2.0 * L,
             )
         )
 
@@ -552,8 +536,8 @@ def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = Non
     mean, se = _mean_stderr(counts)
     rows.append(
         ReportRow(
-            "thm4-linear", f"bijections:{delta}x{k}", "bandit-perceptron",
-            "permutation-embedded", fc.n, trials, seed, mean, se, floor, ">=",
+            f"bijections:{delta}x{k}", "bandit-perceptron",
+            "permutation-embedded", fc.n, trials, mean, se, floor, ">=",
             _mc_pass(mean, se, floor, ">="),
         )
     )
@@ -588,8 +572,8 @@ def preset_claim_guessing(seed: int, trials: int | None = None, T: int | None = 
             for direction in directions:
                 rows.append(
                     ReportRow(
-                        "claim-guessing", f"k={k}", strategy, "guessing",
-                        k - 1, trials, seed, mean, se, bound, direction,
+                        f"k={k}", strategy, "guessing",
+                        k - 1, trials, mean, se, bound, direction,
                         bound_holds(mean, bound, direction, slack),
                     )
                 )
@@ -631,8 +615,8 @@ def preset_claim_permutation(seed: int, trials: int | None = None, T: int | None
             mean, se = _mean_stderr(counts)
             rows.append(
                 ReportRow(
-                    "claim-permutation", fc.name, lname, f"permutation:{delta}",
-                    horizon, trials, seed, mean, se, floor, ">=",
+                    fc.name, lname, f"permutation:{delta}",
+                    horizon, trials, mean, se, floor, ">=",
                     _mc_pass(mean, se, floor, ">="),
                 )
             )
@@ -655,7 +639,7 @@ def preset_dim_ratio(seed: int, trials: int | None = None, T: int | None = None)
         l, bl = ldim(space), bldim(space)
         rows.append(
             ReportRow(
-                "dim-ratio", f"{fc.name}#{mask}", "-", "-", 0, 1, seed,
+                f"{fc.name}#{mask}", "-", "-", 0, 1,
                 bl, 0.0, envelope * l, "<=", bl <= envelope * l,
             )
         )
@@ -665,13 +649,13 @@ def preset_dim_ratio(seed: int, trials: int | None = None, T: int | None = None)
             space = full.full_space()
             rows.append(
                 ReportRow(
-                    "dim-ratio", full.name, "-", "ldim", 0, 1, seed,
+                    full.name, "-", "ldim", 0, 1,
                     ldim(space), 0.0, float(n), "=", ldim(space) == n,
                 )
             )
             rows.append(
                 ReportRow(
-                    "dim-ratio", full.name, "-", "bldim", 0, 1, seed,
+                    full.name, "-", "bldim", 0, 1,
                     bldim(space), 0.0, float((k - 1) * n), "=",
                     bldim(space) == (k - 1) * n,
                 )

@@ -16,9 +16,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-Label = int
-Instance = int
-
 
 class RealizabilityViolation(RuntimeError):
     """A learner that assumes a realizable run observed evidence against one."""
@@ -174,9 +171,6 @@ class VersionSpace:
             yield low.bit_length() - 1
             m ^= low
 
-    def __contains__(self, h: int) -> bool:
-        return 0 <= h < self.cls.size and bool(self.mask >> h & 1)
-
     def restrict_eq(self, x: int, y: int) -> "VersionSpace":
         """Hypotheses of this space with h(x) == y."""
         self.cls.check_instance(x)
@@ -290,10 +284,6 @@ def dumps_class(cls: FiniteClass) -> str:
 
 def read_class(path: str | Path) -> FiniteClass:
     return load_class(Path(path).read_text())
-
-
-def write_class(cls: FiniteClass, path: str | Path) -> None:
-    Path(path).write_text(dumps_class(cls))
 
 
 def load_sequence(text: str, cls: FiniteClass | None = None) -> LabeledSequence:

@@ -106,13 +106,9 @@ class SOABanditLearner:
         return cls(fc.full_space())
 
     def predict(self, x: int, rng=None) -> int:
-        if self.space.is_empty:
-            return 0
         return soa_prediction(self.space, x)
 
     def update(self, x: int, prediction: int, feedback: BanditFeedback) -> "SOABanditLearner":
-        if self.space.is_empty:
-            return SOABanditLearner(self.space, self.mistakes + (not feedback.correct))
         if feedback.correct:
             return SOABanditLearner(self.space.restrict_eq(x, prediction), self.mistakes)
         return SOABanditLearner(self.space.restrict_ne(x, prediction), self.mistakes + 1)
@@ -327,16 +323,6 @@ def expert_count(T: int, k: int, L: int) -> int:
     return sum(math.comb(T, j) * k**j for j in range(L + 1))
 
 
-def expert_count_bound_holds(T: int, k: int, L: int) -> bool:
-    """Whether the ceiling (T*k + 1)^L covers the exact count.
-
-    It always does: C(T,j) * k^j <= C(L,j) * (T*k)^j for j <= L, and the
-    right-hand terms sum to (T*k + 1)^L.  The plainer (T*k)^L does not: at
-    L = 1 the count is 1 + T*k.
-    """
-    return expert_count(T, k, L) <= (T * k + 1) ** L
-
-
 def exp4_gamma(T: int, k: int, L: int) -> float:
     """Exp4's exploration rate over the expert_count(T, k, L) deviation experts."""
     count = expert_count(T, k, L)
@@ -367,19 +353,6 @@ class Expert:
             out.append(y)
             mask &= fc.eq_mask(x, y)
         return out
-
-
-def imitating_expert(fc: FiniteClass, xs, labels) -> Expert:
-    """The expert that replays a target labeling: deviations at the rounds where
-    the plain dimension-maximizing learner would have erred against it."""
-    mask = fc.full_mask
-    rounds, forced = [], []
-    for t, (x, y) in enumerate(zip(xs, labels)):
-        if _soa_label_mask(fc, mask, x) != y:
-            rounds.append(t)
-            forced.append(y)
-        mask &= fc.eq_mask(x, y)
-    return Expert(tuple(rounds), tuple(forced))
 
 
 # An expert's advice at a round depends only on its simulated version space and

@@ -47,31 +47,27 @@ def check_margin_realization(
 
 
 def standard_basis_embedding(
-    f, k: int, d: int | None = None
+    f, k: int
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, int]]]:
-    """Realize a labeling f: [0,L) -> [0,k) on the first L basis vectors.
+    """Realize a labeling f: [0,L) -> [0,k) on the L basis vectors of R^L.
 
     Row i of the matrix is the indicator sum of the points labeled i, so every
     pair has gap exactly 1 and the squared Frobenius norm is L.
     """
     f = list(f)
     L = len(f)
-    if d is None:
-        d = L
-    if L > d:
-        raise ValueError(f"{L} points do not fit in dimension {d}")
     for y in f:
         if not 0 <= y < k:
             raise ValueError(f"label {y} outside [0, {k})")
-    w = np.zeros((k, d))
+    w = np.zeros((k, L))
     for j, y in enumerate(f):
         w[y, j] = 1.0
-    graph = [(np.eye(d)[j], f[j]) for j in range(L)]
+    graph = [(np.eye(L)[j], f[j]) for j in range(L)]
     return w, graph
 
 
 def roots_of_unity_embedding(
-    table: list[list[int]], d: int | None = None
+    table: list[list[int]]
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, int]]]:
     """Realize a per-block bijection table f(j, m) = table[j][m] with margin.
 
@@ -88,10 +84,7 @@ def roots_of_unity_embedding(
     for j, row in enumerate(table):
         if sorted(row) != list(range(k)):
             raise ValueError(f"block {j} is not a bijection on [0, {k})")
-    if d is None:
-        d = 2 * delta
-    if d < 2 * delta:
-        raise ValueError(f"{delta} complex coordinates need d >= {2 * delta}")
+    d = 2 * delta
     w = np.zeros((k, d))
     graph = []
     for j in range(delta):
@@ -109,21 +102,6 @@ def roots_of_unity_embedding(
 def roots_of_unity_gap(k: int) -> float:
     """The construction's closed-form minimum gap k^2*(1 - cos(2*pi/k))."""
     return k**2 * (1.0 - math.cos(2.0 * math.pi / k))
-
-
-def unit_gap_scaled(
-    w: np.ndarray, graph: list[tuple[np.ndarray, int]]
-) -> tuple[np.ndarray, float]:
-    """The matrix rescaled so its minimum gap over the graph is exactly 1.
-
-    Gaps are positively homogeneous, so dividing by the current minimum leaves
-    every argmax untouched; the scaled squared norm is what the radius
-    accounting compares against thresholds.
-    """
-    _, min_gap = check_margin_realization(w, graph)
-    if not math.isfinite(min_gap) or min_gap <= 0.0:
-        raise ValueError("the matrix does not separate its graph with a positive gap")
-    return w / min_gap, frobenius_norm(w / min_gap)
 
 
 def embedding_norm_report(delta: int, k: int) -> dict:

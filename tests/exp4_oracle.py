@@ -3,7 +3,8 @@
 Every expert (at most ldim(H) deviation rounds, each with a forced label) is
 replayed on its own with `Expert.advice_sequence`, and exponential weights run
 per expert in numpy.  This is the slow route the learners' dynamic program is
-checked against; keep it to small horizons.
+checked against; keep it to small horizons.  `imitating_expert` names the
+expert that replays a given labeling.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from banditlab import Expert, ldim
+from banditlab import Expert, ldim, soa_prediction
 
 
 def enumerate_experts(fc, T: int) -> list[Expert]:
@@ -25,6 +26,19 @@ def enumerate_experts(fc, T: int) -> list[Expert]:
         for rounds in combinations(range(T), j)
         for labels in product(range(fc.k), repeat=j)
     ]
+
+
+def imitating_expert(fc, xs, labels) -> Expert:
+    """The expert that replays a target labeling: deviations at the rounds where
+    the plain dimension-maximizing learner would have erred against it."""
+    space = fc.full_space()
+    rounds, forced = [], []
+    for t, (x, y) in enumerate(zip(xs, labels)):
+        if soa_prediction(space, x) != y:
+            rounds.append(t)
+            forced.append(y)
+        space = space.restrict_eq(x, y)
+    return Expert(tuple(rounds), tuple(forced))
 
 
 @dataclass

@@ -1,13 +1,17 @@
 """The benchmark under bench/ is kept frozen and reaches into the package by
 name (`bl.<name>` for `import banditlab as bl`, `catalog.<name>`, and
 `from banditlab... import <name>`).  Every such name must still exist, so that
-deleting one fails here rather than in the middle of a benchmark run."""
+deleting one fails here rather than in the middle of a benchmark run.  The
+other way round, every name the package exports must have a reader, so that
+code nothing needs does not stay in the package."""
 
 import ast
 import importlib
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+PACKAGE = ROOT / "src" / "banditlab"
 ALIASES = {"bl": "banditlab", "catalog": "banditlab.catalog"}
 
 
@@ -35,3 +39,30 @@ def test_every_name_the_benchmark_reads_still_exists():
         if not hasattr(importlib.import_module(module), name)
     )
     assert missing == []
+
+
+def read_names(paths) -> set[str]:
+    """Every name the files read, as a bare name or as an attribute."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+    return found
+
+
+def test_every_exported_name_has_a_reader():
+    init = PACKAGE / "__init__.py"
+    exported = {
+        alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert {"run_game", "ldim", "read_class"} <= exported
+    readers = [path for path in sorted(PACKAGE.glob("*.py")) if path != init]
+    readers += [path for path in sorted((ROOT / "tests").glob("*.py")) if path.name != "test_api.py"]
+    readers += sorted(BENCH.glob("*.py"))
+    assert sorted(exported - read_names(readers)) == []

@@ -16,6 +16,7 @@ from banditlab import (
     play,
     run_experiment,
     run_game,
+    sample_noise_sequence,
 )
 from banditlab.adversaries import NonRepeatingGuesser, SequenceAdversary, draw_permutation_tape
 from banditlab.catalog import subclass
@@ -44,7 +45,8 @@ def test_capacity_vs_minimax_is_a_fixed_deterministic_game():
     cfg = GameConfig("full:1x3", "capacity", "minimax", T=10, trials=3, seed=0)
     transcripts = run_game(cfg)
     assert [t.mistakes for t in transcripts] == [2, 2, 2]  # bldim = 2, then perfect
-    assert all(t.realizable_ok for t in transcripts)
+    space = full_class(1, 3).full_space()
+    assert all(space.class_error(t.justification) == 0 for t in transcripts)
 
 
 def test_soa_within_dimension_on_realizable_games():
@@ -102,7 +104,7 @@ def test_permutation_games_stop_at_the_schedule_end():
     cfg = GameConfig(fc, "cycling", "permutation:1", T=50, trials=2, seed=1)
     for t in run_game(cfg):
         assert len(t.rounds) == 3
-        assert t.realizable_ok
+        assert fc.full_space().class_error(t.justification) == 0
 
 
 def test_play_stops_at_the_end_of_the_schedule():
@@ -360,6 +362,46 @@ def test_randomized_learners_are_never_wrapped(monkeypatch):
     run_game(GameConfig("full:1x3", "cycling", "random-realizable:1", T=5, trials=3, seed=1))
     kinds = [type(learner) for learner, _ in games]
     assert kinds == [learners.RandomLearner] * 3 + [learners.Exp4Learner] * 3 + [harness._Replayed] * 3
+
+
+def test_run_game_builds_generators_only_for_randomized_learners(monkeypatch):
+    games = _recording_play(monkeypatch)
+    run_game(GameConfig("full:1x3", "capacity", "random-realizable:1", T=5, trials=3, seed=1))
+    assert [rng for _, rng in games] == [None] * 3
+    games.clear()
+    run_game(GameConfig("full:1x3", "random", "random-realizable:1", T=5, trials=3, seed=1))
+    assert len(games) == 3
+    assert all(isinstance(rng, np.random.Generator) for _, rng in games)
+
+
+def test_run_game_refuses_an_unjustified_realizability_claim(monkeypatch):
+    fc = full_class(1, 3)
+    noise = sample_noise_sequence(fc, 10, np.random.default_rng(0))
+    assert fc.full_space().class_error(noise) > 0
+    monkeypatch.setattr(harness, "make_adversary", lambda *_: SequenceAdversary(noise, True))
+    with pytest.raises(AssertionError, match="failed to justify"):
+        run_game(GameConfig(fc, "cycling", "noise:1", T=10, trials=1))
+
+
+@dataclass(frozen=True)
+class Forgetful:
+    """A bandit learner that predicts label 0 and never counts its mistakes."""
+
+    kind: ClassVar[str] = "bandit"
+    deterministic: ClassVar[bool] = True
+    mistakes: int = 0
+
+    def predict(self, x, rng):
+        return 0
+
+    def update(self, x, prediction, feedback):
+        return self
+
+
+def test_run_game_refuses_a_diverging_mistake_count(monkeypatch):
+    monkeypatch.setattr(harness, "make_learner", lambda *_: Forgetful())
+    with pytest.raises(AssertionError, match="diverged"):
+        run_game(GameConfig("full:1x3", "constant", "noise:1", T=10, trials=1))
 
 
 # ---------------------------------------------------------------------------

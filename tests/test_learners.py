@@ -18,7 +18,6 @@ from banditlab import (
     capacity,
     expert_count,
     full_class,
-    imitating_expert,
     ldim,
     make_learner,
     make_sequence,
@@ -30,12 +29,11 @@ from banditlab.harness import GameConfig
 from banditlab.learners import (
     LEARNER_NAMES,
     capacity_drops,
-    expert_count_bound_holds,
     learner_class,
 )
 from capacity_oracle import bandit_potential
 from corpus_util import named_corpus
-from exp4_oracle import enumerate_experts, play_oracle
+from exp4_oracle import enumerate_experts, imitating_expert, play_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +224,20 @@ def test_one_pass_drops_match_the_potential_and_capacity_shrinks(game):
 
 def test_expert_count_examples():
     assert expert_count(2, 2, 1) == 5
-    assert expert_count_bound_holds(2, 2, 1)  # 5 <= (2*2 + 1)^1
+    assert expert_count(2, 2, 1) <= (2 * 2 + 1) ** 1
     assert expert_count(10, 3, 0) == 1
-    assert expert_count_bound_holds(10, 3, 0)
+    assert expert_count(10, 3, 0) <= (10 * 3 + 1) ** 0
     assert expert_count(100, 3, 2) == 1 + 300 + math.comb(100, 2) * 9
-    assert expert_count_bound_holds(100, 3, 2)
+    assert expert_count(100, 3, 2) <= (100 * 3 + 1) ** 2
 
 
 @pytest.mark.parametrize("L", [0, 1, 2, 3, 5])
 def test_expert_count_ceiling_holds_on_a_grid(L):
+    # it always holds: C(T,j) * k^j <= C(L,j) * (T*k)^j for j <= L, and the
+    # right-hand terms sum to (T*k + 1)^L
     for T in (1, 2, 3, 7, 50, 200):
         for k in (2, 3, 5):
             assert expert_count(T, k, L) <= (T * k + 1) ** L, (T, k, L)
-            assert expert_count_bound_holds(T, k, L)
     # the plainer (T*k)^L misses 1 + T*k at L = 1, e.g. 601 > 600 at T=200, k=3
     assert expert_count(200, 3, 1) == 601
 

@@ -20,7 +20,6 @@ from banditlab.linear import (
     roots_of_unity_embedding,
     roots_of_unity_gap,
     standard_basis_embedding,
-    unit_gap_scaled,
 )
 from perceptron_oracle import multiclass_perceptron as scalar_perceptron
 
@@ -66,16 +65,6 @@ def test_check_margin_realization_reports_minimum():
     assert not bad_ok and bad_gap == 0.0
 
 
-def test_unit_gap_scaling():
-    w, graph = roots_of_unity_embedding([[2, 0, 1]])
-    scaled, norm = unit_gap_scaled(w, graph)
-    _, new_gap = check_margin_realization(scaled, graph)
-    assert new_gap == pytest.approx(1.0, abs=1e-12)
-    assert norm**2 == pytest.approx(3**5 / roots_of_unity_gap(3) ** 2)
-    with pytest.raises(ValueError):
-        unit_gap_scaled(np.zeros_like(w), graph)
-
-
 # ---------------------------------------------------------------------------
 # standard-basis embedding
 # ---------------------------------------------------------------------------
@@ -97,11 +86,6 @@ def test_basis_embedding_any_labeling(L, k):
     ok, min_gap = check_margin_realization(w, graph)
     assert ok and min_gap == pytest.approx(1.0)
     assert frobenius_norm(w) ** 2 == pytest.approx(L)
-
-
-def test_basis_embedding_needs_enough_dimensions():
-    with pytest.raises(ValueError):
-        standard_basis_embedding([0, 1, 0], k=2, d=2)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +129,6 @@ def test_roots_scores_match_the_hermitian_form():
 def test_roots_embedding_validation():
     with pytest.raises(ValueError):
         roots_of_unity_embedding([[0, 0, 1]])  # not a bijection
-    with pytest.raises(ValueError):
-        roots_of_unity_embedding([[0, 1, 2]], d=1)  # too few real coordinates
 
 
 def test_taylor_floor_keeps_the_gap_above_one():
