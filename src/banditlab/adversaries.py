@@ -319,13 +319,15 @@ def sample_realizable_sequence(
     """A length-T sequence realized by a uniformly drawn hypothesis.
 
     Each round's allowed set is the hypothesis's label plus label_set_size - 1
-    distinct decoys.  Returns (sequence, realizing row index).
+    distinct decoys.  Returns (sequence, realizing row index).  Each distinct
+    round is one example object, built once per call (examples are frozen).
     """
     if not 1 <= label_set_size <= fc.k:
         raise ValueError(f"label_set_size must be in [1, {fc.k}]")
     h = int(rng.integers(fc.size))
     row = fc.table[h]
     items = []
+    examples: dict[tuple[int, frozenset[int]], MultiLabelExample] = {}
     for x in rng.integers(fc.n, size=T):
         x = int(x)
         truth = row[x]
@@ -334,7 +336,11 @@ def sample_realizable_sequence(
             others = [y for y in range(fc.k) if y != truth]
             decoys = rng.choice(len(others), size=label_set_size - 1, replace=False)
             allowed.update(others[int(i)] for i in decoys)
-        items.append(MultiLabelExample(x, frozenset(allowed)))
+        key = (x, frozenset(allowed))
+        ex = examples.get(key)
+        if ex is None:
+            ex = examples[key] = MultiLabelExample(*key)
+        items.append(ex)
     return tuple(items), h
 
 

@@ -6,12 +6,24 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .hypotheses import FiniteClass
+from .hypotheses import FiniteClass, product_class
+
+
+def _power(block: FiniteClass, count: int, kind: str) -> FiniteClass:
+    """count copies of block on consecutive instance blocks, named kind:jxk at
+    every level; the copies are one object, so they share its memos."""
+    out = block
+    for j in range(2, count + 1):
+        out = product_class(f"{kind}:{j}x{block.k}", block, out)
+    return out
 
 
 def full_class(n: int, k: int) -> FiniteClass:
-    """Every function [0,n) -> [0,k): the k^n-row table."""
-    return FiniteClass(f"full:{n}x{k}", n, k, product(range(k), repeat=n))
+    """Every function [0,n) -> [0,k): the k^n-row table, the product of n
+    copies of full:1xk."""
+    if n <= 1:
+        return FiniteClass(f"full:{n}x{k}", n, k, product(range(k), repeat=n))
+    return _power(full_class(1, k), n, "full")
 
 
 def constants_class(n: int, k: int) -> FiniteClass:
@@ -23,15 +35,11 @@ def permutation_class(delta: int, k: int) -> FiniteClass:
     """Functions on [0,delta)x[0,k) that restrict to a bijection on every block.
 
     Instance (j, m) is flattened to j*k + m.  The table has (k!)^delta rows, so
-    keep delta and k small.
+    keep delta and k small; it is the product of delta copies of perm:1xk.
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    rows = (
-        [y for block in combo for y in block]
-        for combo in product(permutations(range(k)), repeat=delta)
-    )
-    return FiniteClass(f"perm:{delta}x{k}", delta * k, k, rows)
+    return _power(FiniteClass(f"perm:1x{k}", k, k, permutations(range(k))), delta, "perm")
 
 
 def random_class(rng: np.random.Generator, max_n: int = 3, max_k: int = 3, name: str | None = None) -> FiniteClass:

@@ -48,12 +48,30 @@ bound.  With best the largest value found so far at V:
 * For both, an instance that splits V into the same set of restrictions as
   an earlier one has the same value and is skipped.
 
+Products.  The catalog builds full:nxk and perm:dxk as products A x B of
+classes on disjoint instance blocks (`FiniteClass.factors`).  On a product,
+both dimensions add: ldim(A x B) = ldim(A) + ldim(B), and the same for bldim.
+Playing A's shattered tree and then, at each of its leaves, B's gives the
+lower bound (Littlestone 1988); playing each block with its own optimal
+strategy gives the upper bound, bldim being the optimal deterministic bandit
+mistake bound (Daniely, Sabato, Ben-David & Shalev-Shwartz 2011).  So on a
+memo miss a product class projects the mask onto its factors, and when the
+mask is exactly the product of its projections it returns, and memoizes, the
+sum of the factors' memoized values.  Every restriction V[x=y] or V[x!=y] of
+a product is again a product, so the learners and the minimax adversary on
+full and permutation classes only ever search the one-block factors.  Any
+other mask, and any class without factors, takes the search above.  The
+tree oracles never read the factors.
+
 Scaling, on a 2-core machine with Python 3.11: bldim(perm:2x4) = 12 takes
-about 6.4 s, 311k memo entries and 64 MiB (the unpruned recursion had not
-finished after 65 s and 3.1M entries), and bldim(perm:1x5) = 10 about 21 s,
-1.7M entries and 231 MiB.  ldim on a random 40x40 binary table takes
-milliseconds (unpruned: 6 s and 144k entries).  bldim still explores spaces cut out by
-forbidding label sets, up to (2^k)^n masks, so keep bandit-dimension work to
+about 15 ms through its factors, leaving 1 memo entry on perm:2x4 and 2,077
+on perm:1x4.  The same table without factors (loaded from JSON, say) takes
+the search: about 6 s, 311k memo entries and 64 MiB (the unpruned recursion
+had not finished after 65 s and 3.1M entries).  bldim(perm:1x5) = 10 is one
+block and takes about 21 s, 1.7M entries and 231 MiB.  ldim on a random
+40x40 binary table takes milliseconds (unpruned: 6 s and 144k entries).
+bldim still explores spaces cut out by forbidding label sets, up to
+(2^k)^n masks, so keep bandit-dimension work on classes without factors to
 universes of a few hundred rows.
 """
 
@@ -85,6 +103,11 @@ def _ldim_mask(cls: FiniteClass, mask: int) -> int:
     got = cache.get(mask)
     if got is not None:
         return got
+    if cls.factors is not None:
+        (outer, inner), (o, i) = cls.factors, cls.projections(mask)
+        if o.bit_count() * i.bit_count() == mask.bit_count():
+            best = cache[mask] = _ldim_mask(outer, o) + _ldim_mask(inner, i)
+            return best
     best = 0
     ceiling = mask.bit_count().bit_length() - 1  # floor(log2 |V|)
     seen = set()  # splits already solved
@@ -131,6 +154,11 @@ def _bldim_mask(cls: FiniteClass, mask: int) -> int:
     got = cache.get(mask)
     if got is not None:
         return got
+    if cls.factors is not None:
+        (outer, inner), (o, i) = cls.factors, cls.projections(mask)
+        if o.bit_count() * i.bit_count() == mask.bit_count():
+            best = cache[mask] = _bldim_mask(outer, o) + _bldim_mask(inner, i)
+            return best
     best = 0
     ceiling = mask.bit_count() - 1
     seen = set()  # splits already solved

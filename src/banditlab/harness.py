@@ -586,8 +586,8 @@ def preset_claim_guessing(seed: int, trials: int | None = None, T: int | None = 
 
 
 def _permutation_zoo(delta: int, k: int) -> tuple[str, ...]:
-    # bsoa at delta=2 would pay a cold bldim(perm:2x4) = 12 solve (about 6.4 s,
-    # 310,894 memo entries) in every call, which builds a fresh permutation_class.
+    # bsoa at delta=2 solves bldim through perm:2x4's factors, about 20 ms per
+    # 100-trial call, but stays out: adding it moves this preset's CSV.
     zoo = ["capacity", "soa-bandit", "constant", "cycling", "random"]
     if delta == 1:
         zoo.insert(2, "bsoa")

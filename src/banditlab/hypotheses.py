@@ -56,7 +56,8 @@ class FiniteClass:
     Duplicate rows are dropped at construction (first occurrence kept): they
     change no dimension, error count, or learner behaviour.  Instances are
     immutable by convention; per-class dimension and shattering memos hang off
-    the object so memoization stays scoped to one class.
+    the object so memoization stays scoped to one class.  A product's factors
+    (see `product_class`) are objects of that product alone.
     """
 
     def __init__(self, name: str, n: int, k: int, rows: Iterable[Sequence[int]]):
@@ -97,6 +98,24 @@ class FiniteClass:
         self.ldim_cache: dict[int, int] = {}
         self.bldim_cache: dict[int, int] = {}
         self.shatter_cache: dict[tuple, object] = {}
+        # (outer, inner) when this class is their product (see product_class)
+        self.factors: tuple[FiniteClass, FiniteClass] | None = None
+
+    def projections(self, mask: int) -> tuple[int, int]:
+        """A mask of a product class projected onto its factors: the outer
+        rows and the inner rows that its members join.  The mask is the
+        product of the two exactly when its size is the product of theirs."""
+        inner = self.factors[1]
+        width, chunk = inner.size, inner.full_mask
+        o = i = 0
+        bit = 1
+        while mask:
+            if sub := mask & chunk:
+                i |= sub
+                o |= bit
+            mask >>= width
+            bit <<= 1
+        return o, i
 
     def eq_mask(self, x: int, y: int) -> int:
         """Bitmask of hypotheses with h(x) == y."""
@@ -143,6 +162,18 @@ class FiniteClass:
 
     def __repr__(self) -> str:
         return f"FiniteClass({self.name!r}, n={self.n}, k={self.k}, |H|={self.size})"
+
+
+def product_class(name: str, outer: FiniteClass, inner: FiniteClass) -> FiniteClass:
+    """outer x inner on disjoint instance blocks, outer's instances first.
+
+    Row i_outer * inner.size + i_inner joins those two rows, the order
+    `itertools.product` yields, and the class records (outer, inner) as its
+    `factors`.
+    """
+    fc = FiniteClass(name, outer.n + inner.n, outer.k, (a + b for a in outer.table for b in inner.table))
+    fc.factors = (outer, inner)
+    return fc
 
 
 @dataclass(frozen=True)

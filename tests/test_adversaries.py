@@ -5,6 +5,7 @@ import pytest
 
 from banditlab import (
     MinimaxBanditAdversary,
+    MultiLabelExample,
     PermutationAdversary,
     bldim,
     constants_class,
@@ -251,6 +252,33 @@ def test_sampler_is_deterministic_under_a_seed():
     a, _ = sample_realizable_sequence(fc, 10, np.random.default_rng(11), 2)
     b, _ = sample_realizable_sequence(fc, 10, np.random.default_rng(11), 2)
     assert a == b
+
+
+def _sample_round_by_round(fc, T, rng, label_set_size):
+    """The sampler's draws with a fresh example built every round."""
+    h = int(rng.integers(fc.size))
+    items = []
+    for x in rng.integers(fc.n, size=T):
+        truth = fc.table[h][int(x)]
+        allowed = {truth}
+        if label_set_size > 1:
+            others = [y for y in range(fc.k) if y != truth]
+            decoys = rng.choice(len(others), size=label_set_size - 1, replace=False)
+            allowed.update(others[int(i)] for i in decoys)
+        items.append(MultiLabelExample(int(x), frozenset(allowed)))
+    return tuple(items), h
+
+
+@pytest.mark.parametrize("setsize", [1, 2, 3])
+def test_sampler_draws_as_a_fresh_example_per_round(setsize):
+    fc = full_class(2, 4)
+    for seed in range(5):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        seq, h = sample_realizable_sequence(fc, 40, rng, setsize)
+        assert (seq, h) == _sample_round_by_round(fc, 40, ref, setsize)
+        assert rng.integers(2**62) == ref.integers(2**62)  # the same draws, in order
+        # equal rounds are one object, each built once
+        assert len({id(ex) for ex in seq}) == len(set(seq))
 
 
 def test_sampler_rejects_bad_set_size():

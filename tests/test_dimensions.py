@@ -1,4 +1,5 @@
 import math
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -10,13 +11,17 @@ from banditlab import (
     VersionSpace,
     bldim,
     capacity,
+    catalog,
+    dumps_class,
     full_class,
     ldim,
+    load_class,
     permutation_class,
     shatter_oracle,
     shatter_witness,
 )
 from corpus_util import enumerated_spaces, random_spaces
+from banditlab.hypotheses import product_class
 from dims_oracle import oracle_bldim, oracle_ldim
 
 
@@ -64,8 +69,15 @@ def test_full_1x3_bldim_two():
 
 
 def test_bldim_of_two_permutation_blocks():
-    # delta * k(k-1)/2, as perm:1x4 = 6; the unpruned recursion does not finish here
-    assert bldim(permutation_class(2, 4).full_space()) == 12
+    # delta * k(k-1)/2, as perm:1x4 = 6; the unpruned recursion does not finish
+    # here, and without its factors the pruned search takes seconds
+    fc = permutation_class(2, 4)
+    assert bldim(fc.full_space()) == 12
+    assert len(fc.bldim_cache) == 1  # the full mask, solved through the factors
+    cold = permutation_class(1, 4)
+    bldim(cold.full_space())
+    assert len(cold.bldim_cache) == 2077
+    assert sum(len(f.bldim_cache) for f in _factor_tree(fc)[1:]) <= len(cold.bldim_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +144,155 @@ def test_pruned_dimensions_on_edge_cases(rows, k, expected):
     fc = FiniteClass("edge", len(rows[0]), k, rows)
     assert (ldim(fc.full_space()), bldim(fc.full_space())) == expected
     assert_exact_and_memos_exact(fc.full_space())
+
+
+# ---------------------------------------------------------------------------
+# product classes, solved through their factors
+# ---------------------------------------------------------------------------
+
+
+def _factor_tree(fc):
+    """fc and every class below it in its factors, each object once (equal
+    copies stay apart)."""
+    out = [fc]
+    for c in out:
+        for f in c.factors or ():
+            if all(f is not seen for seen in out):
+                out.append(f)
+    return out
+
+
+def _plain(fc):
+    """The same table as a class that records no factors."""
+    return FiniteClass(fc.name, fc.n, fc.k, fc.table)
+
+
+def _random_factor(rng, k, max_n):
+    n = int(rng.integers(1, max_n + 1))
+    size = int(rng.integers(1, k**n + 1))
+    return FiniteClass("f", n, k, rng.integers(0, k, size=(size, n)).tolist())
+
+
+def _random_product(rng):
+    """A product of two or three random factors over one label count: two of
+    up to two instances each, or three of one instance."""
+    k = int(rng.integers(2, 4))
+    if rng.random() < 0.7:
+        return product_class("p2", _random_factor(rng, k, 2), _random_factor(rng, k, 2))
+    a, b, c = (_random_factor(rng, k, 1) for _ in range(3))
+    return product_class("p3", a, product_class("p2", b, c))
+
+
+def _random_restriction(rng, space):
+    x = int(rng.integers(space.cls.n))
+    y = int(rng.integers(space.cls.k))
+    step = int(rng.integers(3))
+    if step == 0:
+        return space.restrict_eq(x, y)
+    if step == 1:
+        return space.restrict_ne(x, y)
+    labels = [y for y in range(space.cls.k) if rng.random() < 0.5] or [y]
+    return space.restrict_in(x, labels)
+
+
+def assert_product_dims_exact(fc, masks):
+    """ldim and bldim of each mask of the product fc equal the unpruned
+    recursions' and the plain search's on a factorless copy, and every memo
+    entry left on fc and on the classes below it is exact."""
+    plain = _plain(fc)
+    exact = {"L": {}, "BL": {}}
+    for mask in masks:
+        for mode, fn, oracle in (("L", ldim, oracle_ldim), ("BL", bldim, oracle_bldim)):
+            want = oracle(plain, mask, exact[mode])
+            assert fn(VersionSpace(fc, mask)) == want, (fc.table, bin(mask), mode)
+            assert fn(VersionSpace(plain, mask)) == want, (fc.table, bin(mask), mode)
+    for c in _factor_tree(fc):
+        own = {"L": {}, "BL": {}}
+        for mode, memo, oracle in (("L", c.ldim_cache, oracle_ldim), ("BL", c.bldim_cache, oracle_bldim)):
+            for mask, value in memo.items():
+                assert value == oracle(_plain(c), mask, own[mode]), (c.table, bin(mask), mode)
+
+
+def test_product_dimensions_match_the_unpruned_recursions():
+    rng = np.random.default_rng(12)
+    for _ in range(150):
+        fc = _random_product(rng)
+        space = fc.full_space()
+        masks = [space.mask]
+        for _ in range(int(rng.integers(1, 6))):  # a chain of restrictions
+            space = _random_restriction(rng, space)
+            if space.is_empty:
+                break
+            masks.append(space.mask)
+        masks += [int(rng.integers(1, fc.full_mask + 1)) for _ in range(3)]  # mostly not products
+        assert_product_dims_exact(fc, masks)
+
+
+@pytest.mark.parametrize("spec", [(full_class, 2, 3), (full_class, 3, 2), (permutation_class, 2, 3), (permutation_class, 3, 2)])
+def test_builtin_products_match_the_unpruned_recursions(spec):
+    build, a, k = spec
+    fc = build(a, k)
+    assert fc.factors is not None
+    rng = np.random.default_rng(a * 10 + k)
+    masks = [fc.full_mask] + [int(rng.integers(1, fc.full_mask + 1)) for _ in range(5)]
+    assert_product_dims_exact(fc, masks)
+
+
+def test_shatter_oracle_never_reads_the_factors():
+    fc = permutation_class(2, 3)
+    space = fc.full_space()
+    assert shatter_oracle(space, 4, "L") and not shatter_oracle(space, 5, "L")
+    assert shatter_oracle(space, 6, "BL") and not shatter_oracle(space, 7, "BL", depth_cap=7)
+    block = fc.factors[0]
+    assert not (block.ldim_cache or block.bldim_cache or block.shatter_cache)
+    assert (ldim(space), bldim(space)) == (4, 6)
+
+
+def test_every_build_starts_with_cold_memos():
+    first = permutation_class(2, 4)
+    bldim(first.full_space())
+    ldim(first.full_space())
+    second = permutation_class(2, 4)
+    assert second == first
+    for c in _factor_tree(second):
+        assert not (c.ldim_cache or c.bldim_cache or c.shatter_cache)
+        assert all(c is not d for d in _factor_tree(first))
+
+
+def test_classes_outside_the_catalog_record_no_factors():
+    fc = permutation_class(2, 3)
+    assert load_class(dumps_class(fc)).factors is None
+    assert catalog.subclass(fc, fc.full_mask).factors is None
+    assert catalog.constants_class(3, 3).factors is None
+    assert catalog.random_class(np.random.default_rng(0)).factors is None
+
+
+def _flat_full(n, k):
+    return FiniteClass(f"full:{n}x{k}", n, k, product(range(k), repeat=n))
+
+
+def _flat_perm(delta, k):
+    rows = (
+        [y for block in combo for y in block]
+        for combo in product(permutations(range(k)), repeat=delta)
+    )
+    return FiniteClass(f"perm:{delta}x{k}", delta * k, k, rows)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_products_keep_the_itertools_table_order(a, k):
+    # every table, and so every mask and report, is the one the flat
+    # itertools.product construction gave
+    for build, flat in ((full_class, _flat_full), (permutation_class, _flat_perm)):
+        fc, want = build(a, k), flat(a, k)
+        assert (fc.name, fc.n, fc.k, fc.table) == (want.name, want.n, want.k, want.table)
+        if a == 1:
+            assert fc.factors is None
+            continue
+        outer, inner = fc.factors
+        assert outer == build(1, k) and inner == build(a - 1, k)
+        assert inner.factors is None or inner.factors[0] is outer  # one block object
 
 
 # ---------------------------------------------------------------------------
