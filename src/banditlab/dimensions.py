@@ -26,10 +26,10 @@ min is always attained on a proper subset.  Skipping those branches keeps the
 recursion well-founded.  The tree oracles do not rely on this argument: they
 recurse on depth, which is how the two routes stay independent cross-checks.
 
-Both recursions are searched branch and bound.  Every call still returns,
-and memoizes, the exact value of its own space; a cut only skips branches of
-the current call that cannot change its max, so no memo entry is ever a
-bound.  With best the largest value found so far at V:
+Both recursions are searched branch and bound.  Every call still returns
+the exact value of its own space, and memoizes it unless it is closed form;
+a cut only skips branches of the current call that cannot change its max, so
+no memo entry is ever a bound.  With best the largest value found so far at V:
 
 * ldim(V) <= floor(log2 |V|), since a shattered tree of depth d needs 2^d
   members; the search stops once best reaches it.  So the value at x is at
@@ -45,6 +45,15 @@ bound.  With best the largest value found so far at V:
   skipped.  Labels are visited smallest restriction first, and the
   instance is left once 1 + its running min is at most best (alpha-beta:
   the min can only fall).
+* bldim(V) >= |Y_x(V)| - 1 for every x, where Y_x(V) is the set of labels V
+  uses at x: asking x alone is the guessing game on those labels (by
+  induction, each restriction V[x!=y] still uses |Y_x(V)| - 1 of them).
+  One pass over the instances builds every split and starts best at the
+  largest such bound, so the cuts above start from it, and a space whose
+  members all disagree at some x returns at once.
+* A space of at most two members is solved in closed form, |V| - 1, and
+  never memoized: rows are deduplicated, so two members differ at some x,
+  and asking it leaves a singleton on each used label.
 * For both, an instance that splits V into the same set of restrictions as
   an earlier one has the same value and is skipped.
 
@@ -64,14 +73,14 @@ other mask, and any class without factors, takes the search above.  The
 tree oracles never read the factors.
 
 Scaling, on a 2-core machine with Python 3.11: bldim(perm:2x4) = 12 takes
-about 15 ms through its factors, leaving 1 memo entry on perm:2x4 and 2,077
+about 8 ms through its factors, leaving 1 memo entry on perm:2x4 and 1,429
 on perm:1x4.  The same table without factors (loaded from JSON, say) takes
-the search: about 6 s, 311k memo entries and 64 MiB (the unpruned recursion
-had not finished after 65 s and 3.1M entries).  bldim(perm:1x5) = 10 is one
-block and takes about 21 s, 1.7M entries and 231 MiB.  ldim on a random
-40x40 binary table takes milliseconds (unpruned: 6 s and 144k entries).
-bldim still explores spaces cut out by forbidding label sets, up to
-(2^k)^n masks, so keep bandit-dimension work on classes without factors to
+the search: about 4.5 s, 285k memo entries and 63 MiB peak (the unpruned
+recursion had not finished after 65 s and 3.1M entries).  bldim(perm:1x5) =
+10 is one block and takes about 16 s, 1.5M entries and 212 MiB peak.  ldim
+on a random 40x40 binary table takes milliseconds (unpruned: 6 s and 144k
+entries).  bldim still explores spaces cut out by forbidding label sets, up
+to (2^k)^n masks, so keep bandit-dimension work on classes without factors to
 universes of a few hundred rows.
 """
 
@@ -148,32 +157,43 @@ def _ldim_mask(cls: FiniteClass, mask: int) -> int:
 
 
 def _bldim_mask(cls: FiniteClass, mask: int) -> int:
-    if mask == 0:
-        return -1
+    size = mask.bit_count()
+    if size <= 2:
+        # rows are distinct, so two members split at some x into two
+        # singletons: 1; in closed form, with no memo entry
+        return size - 1
     cache = cls.bldim_cache
     got = cache.get(mask)
     if got is not None:
         return got
     if cls.factors is not None:
         (outer, inner), (o, i) = cls.factors, cls.projections(mask)
-        if o.bit_count() * i.bit_count() == mask.bit_count():
+        if o.bit_count() * i.bit_count() == size:
             best = cache[mask] = _bldim_mask(outer, o) + _bldim_mask(inner, i)
             return best
+    # one pass builds every split and seeds best with the guessing bound
+    ceiling = size - 1
     best = 0
-    ceiling = mask.bit_count() - 1
-    seen = set()  # splits already solved
+    splits = []
     for x in range(cls.n):
-        if best == ceiling:
-            break
-        # restrictions by the labels V uses at x (at least one), smallest first;
-        # an unused label's branch is V itself and never attains the min
+        # restrictions by the labels V uses at x (at least one); an unused
+        # label's branch is V itself and never attains the min
         subs = []
-        for eq in cls.eq_masks(x):
-            sub = mask & ~eq
+        for ne in cls.ne_masks(x):
+            sub = mask & ne
             if sub != mask:
                 subs.append(sub)
-        subs.sort(key=int.bit_count)
+        if len(subs) > best + 1:
+            best = len(subs) - 1
+            if best == ceiling:
+                break
+        splits.append(subs)
+    seen = set()  # splits already solved
+    for subs in splits:
+        if best == ceiling:
+            break
         # bldim(sub) <= |sub| - 1, so the smallest restriction's size caps the value at x
+        subs.sort(key=int.bit_count)
         if subs[0].bit_count() <= best:
             continue
         split = frozenset(subs)

@@ -93,6 +93,7 @@ class FiniteClass:
             for x, y in enumerate(row):
                 eq[x][y] |= 1 << h
         self._eq = tuple(tuple(col) for col in eq)
+        self._ne = tuple(tuple(self.full_mask & ~m for m in col) for col in eq)
         self._hash = hash((self.name, n, k, self.table))
         # caches filled lazily by other modules; writes are idempotent
         self.ldim_cache: dict[int, int] = {}
@@ -124,6 +125,11 @@ class FiniteClass:
     def eq_masks(self, x: int) -> tuple[int, ...]:
         """eq_mask(x, y) for every label y, in label order."""
         return self._eq[x]
+
+    def ne_masks(self, x: int) -> tuple[int, ...]:
+        """Bitmask of hypotheses with h(x) != y, for every label y in label
+        order: full_mask & ~eq_mask(x, y)."""
+        return self._ne[x]
 
     def check_instance(self, x: int) -> None:
         if not 0 <= x < self.n:
@@ -212,7 +218,7 @@ class VersionSpace:
         """Hypotheses of this space with h(x) != y."""
         self.cls.check_instance(x)
         self.cls.check_label(y)
-        return VersionSpace(self.cls, self.mask & ~self.cls.eq_mask(x, y))
+        return VersionSpace(self.cls, self.mask & self.cls.ne_masks(x)[y])
 
     def restrict_in(self, x: int, labels: Iterable[int]) -> "VersionSpace":
         """Hypotheses with h(x) in the given label set."""

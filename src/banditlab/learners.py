@@ -319,8 +319,16 @@ class RandomLearner:
 
 
 def expert_count(T: int, k: int, L: int) -> int:
-    """Exact number of deviation experts: sum_{j<=L} C(T,j) * k^j (0 for L < 0)."""
-    return sum(math.comb(T, j) * k**j for j in range(L + 1))
+    """Exact number of deviation experts over a horizon of T >= 1 rounds:
+    sum_{j<=L} C(T,j) * k^j (0 for L < 0)."""
+    if T < 1:
+        raise ValueError(f"horizon T must be >= 1, got T={T}")
+    return _continuations(T, k, L)
+
+
+def _continuations(r: int, k: int, L: int) -> int:
+    """expert_count over r >= 0 rounds: 1 continuation when none are left."""
+    return sum(math.comb(r, j) * k**j for j in range(L + 1))
 
 
 def exp4_gamma(T: int, k: int, L: int) -> float:
@@ -393,7 +401,7 @@ class Exp4Learner:
     """Exponential-weights bandit learner over every deviation expert, exact.
 
     `weights[(mask, j)]` is the summed weight of the pasts that reach that
-    state; each past stands for the M(r, L-j) = expert_count(r, k, L-j)
+    state; each past stands for the M(r, L-j) = sum_{i<=L-j} C(r,i) * k^i
     experts that share it, r being the rounds left.  Weights are rescaled so
     that the experts' total weight is 1.
     """
@@ -421,7 +429,7 @@ class Exp4Learner:
         if self.t >= self.T:
             raise ValueError(f"exp4 was set up for {self.T} rounds")
         r = self.T - self.t - 1
-        return [expert_count(r, self.fc.k, self.L - j) for j in range(self.L + 2)]
+        return [_continuations(r, self.fc.k, self.L - j) for j in range(self.L + 2)]
 
     def advice_weights(self, x: int) -> np.ndarray:
         """Total weight of the experts advising each label on x this round:

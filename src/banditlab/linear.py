@@ -100,7 +100,9 @@ def roots_of_unity_embedding(
 
 
 def roots_of_unity_gap(k: int) -> float:
-    """The construction's closed-form minimum gap k^2*(1 - cos(2*pi/k))."""
+    """The construction's closed-form minimum gap k^2*(1 - cos(2*pi/k)), k >= 2."""
+    if k < 2:
+        raise ValueError(f"need at least two labels, got k={k}")
     return k**2 * (1.0 - math.cos(2.0 * math.pi / k))
 
 
@@ -112,6 +114,8 @@ def embedding_norm_report(delta: int, k: int) -> dict:
     dimension d = 2*delta, flagging when the normalized construction still
     exceeds it (it does once k grows; no attempt is made to reconcile this).
     """
+    if delta < 1:
+        raise ValueError(f"need at least one block, got delta={delta}")
     d = 2 * delta
     gap = roots_of_unity_gap(k)
     raw_sq = delta * k**5

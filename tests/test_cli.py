@@ -58,6 +58,10 @@ def test_experts_counts_without_enumerating(capsys):
         (["play", "--class", "full:1x3", "--learner", "soa", "--adversary", "minimax", "--T", "3"],
          "revealed no label set"),
         (["dim", "nope:1x3"], "unknown class kind 'nope'"),
+        (["experts", "--class", "full:1x3", "--T", "0"], "horizon T must be >= 1, got T=0"),
+        (["experts", "--class", "full:1x3", "--T", "-3"], "horizon T must be >= 1, got T=-3"),
+        (["linear-check", "--delta", "1", "--k", "1"], "need at least two labels, got k=1"),
+        (["linear-check", "--delta", "0", "--k", "3"], "need at least one block, got delta=0"),
     ],
 )
 def test_rejected_input_exits_two_with_a_message(argv, message, capsys):

@@ -1,5 +1,5 @@
 import math
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -76,7 +76,7 @@ def test_bldim_of_two_permutation_blocks():
     assert len(fc.bldim_cache) == 1  # the full mask, solved through the factors
     cold = permutation_class(1, 4)
     bldim(cold.full_space())
-    assert len(cold.bldim_cache) == 2077
+    assert len(cold.bldim_cache) == 1429
     assert sum(len(f.bldim_cache) for f in _factor_tree(fc)[1:]) <= len(cold.bldim_cache)
 
 
@@ -87,7 +87,9 @@ def test_bldim_of_two_permutation_blocks():
 
 def assert_exact_and_memos_exact(space):
     """The pruned ldim and bldim of space equal the unpruned recursions', and so
-    does every memo entry the pruned searches have left on the class."""
+    does every memo entry the pruned searches have left on the class; bldim
+    leaves none for a space of two or fewer members, which it solves in
+    closed form."""
     fc = space.cls
     for pruned, oracle, memo in (
         (ldim, oracle_ldim, fc.ldim_cache),
@@ -97,6 +99,7 @@ def assert_exact_and_memos_exact(space):
         assert pruned(space) == oracle(fc, space.mask, exact)
         for mask, value in memo.items():
             assert value == oracle(fc, mask, exact), (fc.table, bin(mask), pruned.__name__)
+    assert all(mask.bit_count() > 2 for mask in fc.bldim_cache)
 
 
 @st.composite
@@ -130,6 +133,60 @@ def test_pruned_dimensions_match_on_seeded_random_tables():
         n, k, size = int(rng.integers(1, 6)), int(rng.integers(2, 5)), int(rng.integers(1, 15))
         fc = FiniteClass("rand", n, k, rng.integers(0, k, size=(size, n)).tolist())
         assert_exact_and_memos_exact(fc.full_space())
+
+
+@pytest.mark.parametrize("rows, k", [(18, 4), (30, 3)])
+def test_pruned_bldim_matches_on_tables_of_the_benchmark_shapes(rows, k):
+    # the shapes of the random bldim rungs: 5 instances, mostly distinct rows
+    rng = np.random.default_rng(rows * k)
+    for _ in range(16):
+        fc = FiniteClass("rand", 5, k, rng.integers(0, k, size=(rows, 5)).tolist())
+        assert_exact_and_memos_exact(fc.full_space())
+
+
+def _small_spaces(fc, most):
+    """Every space of 1 to `most` members of fc."""
+    for size in range(1, most + 1):
+        for members in combinations(range(fc.size), size):
+            yield fc.space(members)
+
+
+@pytest.mark.parametrize("fc", [full_class(2, 3), permutation_class(1, 4), catalog.constants_class(2, 4)])
+def test_bldim_of_every_space_of_three_or_fewer_members(fc):
+    exact: dict[int, int] = {}
+    for space in _small_spaces(fc, 3):
+        assert bldim(space) == oracle_bldim(fc, space.mask, exact), bin(space.mask)
+    # the two-member spaces are all closed form, the three-member ones memoized
+    assert all(m.bit_count() == 3 for m in fc.bldim_cache)
+
+
+def _guessing_bound(space):
+    """max over x of (labels the space uses at x) - 1: the value of asking x alone."""
+    table = space.cls.table
+    return max(len({table[h][x] for h in space.members()}) for x in range(space.cls.n)) - 1
+
+
+def test_guessing_bound_is_a_lower_bound():
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        n, k, size = int(rng.integers(1, 6)), int(rng.integers(2, 5)), int(rng.integers(1, 15))
+        fc = FiniteClass("rand", n, k, rng.integers(0, k, size=(size, n)).tolist())
+        mask = int(rng.integers(1, fc.full_mask + 1))
+        space = VersionSpace(fc, mask)
+        assert _guessing_bound(space) <= oracle_bldim(fc, mask, {}) == bldim(space)
+    # attained by the guessing game itself, and by full:1xk
+    for k in (2, 3, 4):
+        assert _guessing_bound(full_class(1, k).full_space()) == bldim(full_class(1, k).full_space()) == k - 1
+
+
+def test_ne_masks_complement_eq_masks():
+    rng = np.random.default_rng(5)
+    for fc in (full_class(2, 3), permutation_class(2, 3), FiniteClass("r", 4, 3, rng.integers(0, 3, size=(20, 4)).tolist())):
+        for x in range(fc.n):
+            assert len(fc.ne_masks(x)) == fc.k
+            for y in range(fc.k):
+                assert fc.ne_masks(x)[y] == fc.full_mask & ~fc.eq_mask(x, y)
+                assert fc.full_space().restrict_ne(x, y).mask == fc.full_mask & ~fc.eq_mask(x, y)
 
 
 @pytest.mark.parametrize(

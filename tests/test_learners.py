@@ -16,6 +16,7 @@ from banditlab import (
     best_expert_loss,
     bldim,
     capacity,
+    exp4_gamma,
     expert_count,
     full_class,
     ldim,
@@ -240,6 +241,18 @@ def test_expert_count_ceiling_holds_on_a_grid(L):
             assert expert_count(T, k, L) <= (T * k + 1) ** L, (T, k, L)
     # the plainer (T*k)^L misses 1 + T*k at L = 1, e.g. 601 > 600 at T=200, k=3
     assert expert_count(200, 3, 1) == 601
+
+
+@pytest.mark.parametrize("T", [0, -3])
+def test_exp4_refuses_a_horizon_below_one(T):
+    fc = full_class(1, 3)
+    for call in (
+        lambda: expert_count(T, 3, 1),
+        lambda: exp4_gamma(T, 3, 1),
+        lambda: Exp4Learner.for_class(fc, T),
+    ):
+        with pytest.raises(ValueError, match=f"T={T}"):
+            call()
 
 
 def test_singleton_class_has_one_expert_following_it():

@@ -146,6 +146,16 @@ def test_norm_report_flags_large_k():
     assert not big["fits_threshold"]  # the quoted threshold stops covering it
 
 
+@pytest.mark.parametrize("delta, k, message", [(1, 1, "k=1"), (1, 0, "k=0"), (0, 3, "delta=0"), (-2, 3, "delta=-2")])
+def test_norm_report_refuses_degenerate_constructions(delta, k, message):
+    # k = 1 divided by a zero gap; delta = 0 reported an empty construction
+    with pytest.raises(ValueError, match=message):
+        embedding_norm_report(delta, k)
+    if delta >= 1:
+        with pytest.raises(ValueError, match=message):
+            roots_of_unity_gap(k)
+
+
 # ---------------------------------------------------------------------------
 # the perceptron
 # ---------------------------------------------------------------------------
