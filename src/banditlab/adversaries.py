@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimensions import bldim
-from .hypotheses import FiniteClass, LabeledSequence, MultiLabelExample
+from .hypotheses import FiniteClass, LabeledSequence, MultiLabelExample, is_decimal
 
 
 @dataclass(frozen=True)
@@ -366,24 +366,29 @@ ADVERSARY_NAMES = (
     "random-realizable:<setsize>",
     "noise:<setsize>",
 )
+_ADVERSARY_FORMS = {form.partition(":")[0]: form for form in ADVERSARY_NAMES}
 
 
 def make_adversary(name: str, fc: FiniteClass, T: int, rng):
-    base, _, arg = name.partition(":")
+    """Fresh adversary by CLI name.  One whose form has a count takes it as
+    a plain decimal after the colon, or 1 when the colon is left out; any
+    other takes no colon."""
+    base, sep, arg = name.partition(":")
+    form = _ADVERSARY_FORMS.get(base)
+    if form is None:
+        raise ValueError(f"unknown adversary {name!r}; known: {', '.join(ADVERSARY_NAMES)}")
+    if sep and form == base:
+        raise ValueError(f"adversary {base!r} takes no argument, got {name!r}")
+    if sep and not is_decimal(arg):
+        raise ValueError(f"adversary {base!r} takes the form {form}, got {name!r}")
+    count = int(arg) if sep else 1
     if base == "guessing":
         return SequenceAdversary(guessing_sequence(fc, T, rng), claims_realizable=True)
     if base == "permutation":
-        delta = int(arg) if arg else 1
-        return PermutationAdversary(fc, delta, rng)
+        return PermutationAdversary(fc, count, rng)
     if base == "minimax":
         return MinimaxBanditAdversary(fc)
     if base == "random-realizable":
-        setsize = int(arg) if arg else 1
-        seq, _ = sample_realizable_sequence(fc, T, rng, setsize)
+        seq, _ = sample_realizable_sequence(fc, T, rng, count)
         return SequenceAdversary(seq, claims_realizable=True)
-    if base == "noise":
-        setsize = int(arg) if arg else 1
-        return SequenceAdversary(
-            sample_noise_sequence(fc, T, rng, setsize), claims_realizable=False
-        )
-    raise ValueError(f"unknown adversary {name!r}; known: {', '.join(ADVERSARY_NAMES)}")
+    return SequenceAdversary(sample_noise_sequence(fc, T, rng, count), claims_realizable=False)

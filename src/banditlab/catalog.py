@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .hypotheses import FiniteClass, product_class
+from .hypotheses import FiniteClass, is_decimal, product_class
 
 
 def _power(block: FiniteClass, count: int, kind: str) -> FiniteClass:
@@ -61,13 +61,11 @@ def subclass(cls: FiniteClass, mask: int) -> FiniteClass:
 
 def parse_spec(spec: str) -> FiniteClass:
     """Resolve a builtin class spec: full:NxK, const:NxK, or perm:DxK."""
-    try:
-        kind, shape = spec.split(":", 1)
-        a, b = (int(part) for part in shape.split("x"))
-    except ValueError as err:
-        raise ValueError(
-            f"bad class spec {spec!r}; expected full:NxK, const:NxK, or perm:DxK"
-        ) from err
+    kind, _, shape = spec.partition(":")
+    parts = shape.split("x")
+    if len(parts) != 2 or not all(is_decimal(part) for part in parts):
+        raise ValueError(f"bad class spec {spec!r}; expected full:NxK, const:NxK, or perm:DxK")
+    a, b = (int(part) for part in parts)
     if kind == "full":
         return full_class(a, b)
     if kind == "const":

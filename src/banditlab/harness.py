@@ -74,19 +74,26 @@ def resolve_class(source: str | FiniteClass) -> FiniteClass:
     return catalog.parse_spec(source)
 
 
+# The two bandit feedbacks, by correctness bit: feedback is a value, so every
+# round shares them.  A dict, since numpy's bool hashes as bool but cannot
+# index a tuple.
+_BANDIT_FEEDBACK = {correct: BanditFeedback(correct) for correct in (False, True)}
+
+
 def play(learner, adversary, T: int, rng) -> tuple[object, list[RoundRecord]]:
     """Play up to T rounds, fewer if the adversary's schedule ends first, and
     return the final learner state and the rounds.  A full-information learner
     is given each round's revealed label set, any other the correctness bit."""
     rounds = []
+    full = learner.kind == "full"
     for _ in range(T):
         x = adversary.next_instance()
         if x is None:
             break
         prediction = learner.predict(x, rng)
         reply = adversary.respond(prediction)
-        if learner.kind != "full":
-            feedback = BanditFeedback(reply.correct)
+        if not full:
+            feedback = _BANDIT_FEEDBACK[reply.correct]
         elif reply.allowed is None:
             named = learner.state if isinstance(learner, _Replayed) else learner
             raise ValueError(
@@ -166,7 +173,7 @@ def play_bound(cfg: GameConfig, fc: FiniteClass) -> tuple[float, str] | None:
         return float(min(cfg.T, bldim(fc.full_space()))), ">="
     single_label_realizable = (
         aname in ("guessing", "permutation")
-        or (aname == "random-realizable" and (not aarg or aarg == "1"))
+        or (aname == "random-realizable" and (not aarg or int(aarg) == 1))
     )
     if lname == "capacity" and (single_label_realizable or aname == "random-realizable"):
         k, L = fc.k, ldim(fc.full_space())
@@ -336,7 +343,9 @@ def _schedule_mistakes(start, seqs: list[LabeledSequence], games) -> list[int]:
     States are values, so every game starts from `start`.  A sequence fixes a
     deterministic learner's whole game, so it plays each sequence once, all
     from one `_Replayed` node: sequences that share a prefix of (instance,
-    feedback) pairs share its steps.  A randomized learner plays every game."""
+    feedback) pairs share its steps.  A randomized learner plays every game
+    with a generator of its seed: through its whole-run `run_mistakes` when it
+    has one (`RandomLearner` does), else through `play`."""
 
     def mistakes(learner, seq, rng) -> int:
         return play(learner, SequenceAdversary(seq, True), len(seq), rng)[0].mistakes
@@ -345,6 +354,8 @@ def _schedule_mistakes(start, seqs: list[LabeledSequence], games) -> list[int]:
         root = _Replayed(start)
         per_seq = [mistakes(root, seq, None) for seq in seqs]
         return [per_seq[i] for i, _ in games]
+    if hasattr(start, "run_mistakes"):
+        return [start.run_mistakes(seqs[i], np.random.default_rng(lrn_ss)) for i, lrn_ss in games]
     return [mistakes(start, seqs[i], np.random.default_rng(lrn_ss)) for i, lrn_ss in games]
 
 
@@ -596,20 +607,21 @@ def _permutation_zoo(delta: int, k: int) -> tuple[str, ...]:
 
 def preset_claim_permutation(seed: int, trials: int | None = None, T: int | None = None) -> Report:
     """Block-bijection schedule: every bandit learner averages at least
-    delta*(k-1)*k/4 mistakes.  Every learner plays the same trials, each a
-    (tape, learner seed) pair drawn once; each distinct tape's sequence is
-    built once and replayed to every learner."""
+    delta*(k-1)*k/4 mistakes.  Trial i's (adversary, learner) seed pair is
+    spawned once per call and serves both (delta, k) schedules.  Every learner
+    plays the same trials, each a (tape, learner seed) pair drawn once; each
+    distinct tape's sequence is built once and replayed to every learner."""
     trials = 10_000 if trials is None else trials
     rows = []
+    streams = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(trials)]
     for delta, k in ((1, 3), (2, 4)):
         fc = catalog.permutation_class(delta, k)
         horizon = delta * k * (k - 1) // 2
         floor = permutation_floor(delta, k)
-        draws = []
-        for child in np.random.SeedSequence(seed).spawn(trials):
-            adv_ss, lrn_ss = child.spawn(2)
-            draws.append((draw_permutation_tape(delta, k, np.random.default_rng(adv_ss)), lrn_ss))
-        seqs, games = _block_schedules(fc, delta, draws)
+        seqs, games = _block_schedules(fc, delta, (
+            (draw_permutation_tape(delta, k, np.random.default_rng(adv_ss)), lrn_ss)
+            for adv_ss, lrn_ss in streams
+        ))
         for lname in _permutation_zoo(delta, k):
             counts = _schedule_mistakes(make_learner(lname, fc, horizon), seqs, games)
             mean, se = _mean_stderr(counts)

@@ -21,6 +21,12 @@ class RealizabilityViolation(RuntimeError):
     """A learner that assumes a realizable run observed evidence against one."""
 
 
+def is_decimal(text: str) -> bool:
+    """Whether text is a count in ASCII decimal digits, the only form the CLI
+    names take: int() would also accept signs, spaces and underscores."""
+    return text.isascii() and text.isdigit()
+
+
 def _int_field(value: object, what: str) -> int:
     """A Python or numpy integer as an int; bools, floats and strings raise
     ValueError instead of being coerced."""

@@ -20,7 +20,13 @@ from typing import ClassVar
 import numpy as np
 
 from .dimensions import ClassCollection, _ldim_mask, bldim, ldim
-from .hypotheses import FiniteClass, RealizabilityViolation, VersionSpace
+from .hypotheses import (
+    FiniteClass,
+    LabeledSequence,
+    RealizabilityViolation,
+    VersionSpace,
+    is_decimal,
+)
 
 
 @dataclass(frozen=True)
@@ -300,6 +306,11 @@ class CyclingLearner:
 
 @dataclass(frozen=True)
 class RandomLearner:
+    """Predicts a uniformly random label, ignoring all feedback.
+
+    Besides the round-by-round protocol, which `play` runs and which stays
+    the reference, `run_mistakes(seq, rng)` plays a whole fixed run at once."""
+
     kind: ClassVar[str] = "bandit"
     deterministic: ClassVar[bool] = False
 
@@ -311,6 +322,13 @@ class RandomLearner:
 
     def update(self, x, prediction, feedback) -> "RandomLearner":
         return RandomLearner(self.k, self.mistakes + (not feedback.correct))
+
+    def run_mistakes(self, seq: LabeledSequence, rng) -> int:
+        """The mistake count after playing seq from this state: the run's
+        predictions drawn as one `rng.integers(k, size=len(seq))`, which gives
+        the values `predict` draws one round at a time."""
+        picks = rng.integers(self.k, size=len(seq)).tolist()
+        return self.mistakes + sum(y not in ex.allowed for y, ex in zip(picks, seq))
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +514,18 @@ def learner_class(name: str) -> type:
 
 
 def make_learner(name: str, fc: FiniteClass, T: int):
-    """Fresh learner instance by CLI name (constant takes an optional :label)."""
+    """Fresh learner instance by CLI name (constant takes an optional :label,
+    in decimal digits)."""
     cls = learner_class(name)
     base, sep, arg = name.partition(":")
     if sep and cls is not ConstantLearner:
         raise ValueError(f"learner {base!r} takes no argument, got {name!r}")
+    if sep and not is_decimal(arg):
+        raise ValueError(f"learner {base!r} takes the form {base}:<label>, got {name!r}")
     if cls is Exp4Learner:
         return Exp4Learner.for_class(fc, T)
     if cls is ConstantLearner:
-        label = int(arg) if arg else 0
+        label = int(arg) if sep else 0
         fc.check_label(label)
         return ConstantLearner(fc.k, label)
     if cls in (CyclingLearner, RandomLearner):

@@ -52,22 +52,49 @@ def test_experts_counts_without_enumerating(capsys):
         cli.main(["experts", "--class", "full:1x3", "--T", "10", "--cap", "100"])
 
 
+def _play_perm_1x3(learner, adversary):
+    return ["play", "--class", "perm:1x3", "--learner", learner, "--adversary", adversary, "--T", "3"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["play", "--class", "full:1x3", "--learner", "soa", "--adversary", "minimax", "--T", "3"],
          "revealed no label set"),
         (["dim", "nope:1x3"], "unknown class kind 'nope'"),
+        (["dim", "full:+1x 3"], "bad class spec 'full:+1x 3'"),
+        (["dim", "full:1x3x2"], "bad class spec 'full:1x3x2'"),
+        (["dim", "full"], "bad class spec 'full'"),
         (["experts", "--class", "full:1x3", "--T", "0"], "horizon T must be >= 1, got T=0"),
         (["experts", "--class", "full:1x3", "--T", "-3"], "horizon T must be >= 1, got T=-3"),
         (["linear-check", "--delta", "1", "--k", "1"], "need at least two labels, got k=1"),
         (["linear-check", "--delta", "0", "--k", "3"], "need at least one block, got delta=0"),
+        (_play_perm_1x3("cycling", "guessing:9"), "adversary 'guessing' takes no argument"),
+        (_play_perm_1x3("cycling", "minimax:3"), "adversary 'minimax' takes no argument"),
+        (_play_perm_1x3("cycling", "permutation:"), "takes the form permutation:<delta>"),
+        (_play_perm_1x3("cycling", "permutation:x"), "takes the form permutation:<delta>"),
+        (_play_perm_1x3("cycling", "noise:+1"), "takes the form noise:<setsize>"),
+        (_play_perm_1x3("constant:abc", "permutation:1"), "learner 'constant' takes the form constant:<label>"),
+        (_play_perm_1x3("constant:", "permutation:1"), "learner 'constant' takes the form constant:<label>"),
     ],
 )
 def test_rejected_input_exits_two_with_a_message(argv, message, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("banditlab: error: ") and message in err
+
+
+def test_well_formed_counts_and_their_defaults_still_play(capsys):
+    for learner, adversary in (("constant:2", "permutation:1"), ("constant", "permutation")):
+        assert cli.main(_play_perm_1x3(learner, adversary)) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_zero_padded_set_size_keeps_the_single_label_ceiling(capsys):
+    args = ["play", "--class", "full:1x3", "--learner", "soa", "--T", "4", "--adversary"]
+    for adversary in ("random-realizable:1", "random-realizable:01", "random-realizable"):
+        assert cli.main(args + [adversary]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",1.0,true")
 
 
 def test_claim_guessing_does_not_fail_by_chance(capsys):

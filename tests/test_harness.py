@@ -250,11 +250,57 @@ def test_thm4_linear_plays_each_embedded_tape_once(monkeypatch):
 
 
 def test_claim_permutation_builds_generators_only_for_randomized_learners(monkeypatch):
+    """Deterministic learners play through `play` without a generator; the
+    random learner plays every trial of both schedules through its whole-run
+    route, each with a generator."""
     games = _recording_play(monkeypatch)
+    runs = []
+    run_mistakes = learners.RandomLearner.run_mistakes
+
+    def recording_run(self, seq, rng):
+        runs.append((self, rng))
+        return run_mistakes(self, seq, rng)
+
+    monkeypatch.setattr(learners.RandomLearner, "run_mistakes", recording_run)
     run_experiment("claim-permutation", seed=1, trials=20)
-    assert {type(learner).deterministic for learner, _ in games} == {True, False}
-    for learner, rng in games:
-        assert (rng is None) == learner.deterministic
+    assert games and all(learner.deterministic and rng is None for learner, rng in games)
+    assert len(runs) == 2 * 20
+    for learner, rng in runs:
+        assert not learner.deterministic and isinstance(rng, np.random.Generator)
+
+
+def test_integer_draws_of_a_size_equal_the_scalar_draws():
+    """`RandomLearner.run_mistakes` draws a run's predictions at once and
+    `predict` one at a time; reports stay byte-identical only while these
+    agree."""
+    for k in (2, 3, 4, 5, 8, 1000):
+        for seed in range(40):
+            n = 1 + seed % 13
+            batch = np.random.default_rng(seed).integers(k, size=n).tolist()
+            rng = np.random.default_rng(seed)
+            assert batch == [int(rng.integers(k)) for _ in range(n)], (k, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "spec, aname",
+    [
+        ("full:2x3", "noise:2"),
+        ("full:2x3", "random-realizable:2"),
+        ("full:1x4", "random-realizable:3"),
+        ("perm:1x3", "permutation:1"),
+        ("perm:2x4", "permutation:2"),
+    ],
+)
+def test_random_whole_runs_match_play_round_by_round(spec, aname, seed):
+    fc = resolve_class(spec)
+    for mistakes in (0, 2):
+        start = learners.RandomLearner(fc.k, mistakes)
+        for child in np.random.SeedSequence(seed).spawn(20):
+            adv_ss, lrn_ss = child.spawn(2)
+            seq = make_adversary(aname, fc, 15, np.random.default_rng(adv_ss)).seq
+            end, _ = play(start, SequenceAdversary(seq, False), len(seq), np.random.default_rng(lrn_ss))
+            assert start.run_mistakes(seq, np.random.default_rng(lrn_ss)) == end.mistakes
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +418,19 @@ def test_run_game_builds_generators_only_for_randomized_learners(monkeypatch):
     run_game(GameConfig("full:1x3", "random", "random-realizable:1", T=5, trials=3, seed=1))
     assert len(games) == 3
     assert all(isinstance(rng, np.random.Generator) for _, rng in games)
+
+
+def test_play_takes_a_numpy_correctness_bit():
+    class NumpyReplies(SequenceAdversary):
+        def respond(self, prediction):
+            reply = super().respond(prediction)
+            return type(reply)(np.bool_(reply.correct), reply.allowed)
+
+    fc = full_class(1, 3)
+    seq = sample_noise_sequence(fc, 12, np.random.default_rng(4))
+    start = make_learner("cycling", fc, 12)
+    expected = play(start, SequenceAdversary(seq, False), 12, None)[0]
+    assert play(start, NumpyReplies(seq, False), 12, None)[0] == expected
 
 
 def test_run_game_refuses_an_unjustified_realizability_claim(monkeypatch):
