@@ -3,6 +3,12 @@
 All randomness in a run flows from one seed through spawned generator streams
 (one per trial for the adversary, one for the learner), so reports are
 byte-stable across repeats.
+
+`play` is the one round-by-round loop: `run_game` plays every game through it,
+against the minimax adversary, which reacts to predictions, as against any
+other.  A preset whose games are fixed sequences counts each whole run with a
+`run_mistakes(seq, rng)` instead (see `_schedule_mistakes`), and `play` is the
+reference those are tested against.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .adversaries import (
     make_guesser,
     permutation_floor,
     permutation_sequence,
+    sample_realizable_sequence,
 )
 from .dimensions import bldim, ldim
 from .hypotheses import FiniteClass, LabeledSequence, VersionSpace, read_class
@@ -133,6 +140,22 @@ class _Replayed:
                 return self  # not stored: no cycle, so the tree is freed when the call ends
             child = self._children[x, feedback] = _Replayed(nxt)
         return child
+
+    def run_mistakes(self, seq: LabeledSequence, rng=None) -> int:
+        """The mistake count after playing the fixed run seq from this node,
+        walking the tree along it: a full-information learner is given each
+        round's allowed set, any other the correctness bit, as `play` gives
+        them."""
+        node, full = self, self.kind == "full"
+        for ex in seq:
+            x, allowed = ex.x, ex.allowed
+            prediction = node.predict(x, rng)
+            if full:
+                feedback = FullInfoFeedback(allowed)
+            else:
+                feedback = _BANDIT_FEEDBACK[prediction in allowed]
+            node = node.update(x, prediction, feedback)
+        return node.mistakes
 
 
 def run_game(cfg: GameConfig) -> list[GameTranscript]:
@@ -282,12 +305,18 @@ class Report:
 
 
 def _mean_stderr(values) -> tuple[float, float]:
-    vals = [float(v) for v in values]
+    """The mean of a nonempty sequence of numbers and its standard error, each
+    sum taken strictly left to right (`np.add.accumulate`), so the bits do not
+    depend on numpy's pairwise sums or on the Python version's `sum`.  Each
+    distinct value's squared deviation is one Python float `(v - mean) ** 2`."""
+    vals = np.asarray(values, dtype=float)
     n = len(vals)
-    mean = sum(vals) / n
+    mean = float(np.add.accumulate(vals)[-1]) / n
     if n < 2:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in vals) / (n - 1)
+    distinct, where = np.unique(vals, return_inverse=True)
+    squares = np.array([(v - mean) ** 2 for v in distinct.tolist()])
+    var = float(np.add.accumulate(squares[where])[-1]) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
@@ -339,38 +368,53 @@ def _block_schedules(fc: FiniteClass, delta: int, draws) -> tuple[list[LabeledSe
 
 def _schedule_mistakes(start, seqs: list[LabeledSequence], games) -> list[int]:
     """The mistakes of learner state `start` in each game, a (sequence index,
-    learner seed) pair, played in full against a replay of seqs[index].
-    States are values, so every game starts from `start`.  A sequence fixes a
-    deterministic learner's whole game, so it plays each sequence once, all
-    from one `_Replayed` node: sequences that share a prefix of (instance,
-    feedback) pairs share its steps.  A randomized learner plays every game
-    with a generator of its seed: through its whole-run `run_mistakes` when it
-    has one (`RandomLearner` does), else through `play`."""
+    learner seed) pair, played in full against seqs[index].  States are
+    values, so every game starts from `start`, and each is counted by a
+    whole-run `run_mistakes(seq, rng)`:
 
-    def mistakes(learner, seq, rng) -> int:
-        return play(learner, SequenceAdversary(seq, True), len(seq), rng)[0].mistakes
-
+    - a sequence fixes a deterministic learner's whole game, so each sequence
+      is counted once, without a generator: by the learner's own
+      `run_mistakes` (the baselines'), else along one `_Replayed` game tree,
+      where sequences that share a prefix of (instance, feedback) pairs share
+      its steps;
+    - a randomized learner with a `run_mistakes` (`RandomLearner`) counts
+      every game with a generator of its seed;
+    - any other learner plays every game through `play`, which stays the
+      reference for every `run_mistakes`."""
+    run = getattr(start, "run_mistakes", None)
     if start.deterministic:
-        root = _Replayed(start)
-        per_seq = [mistakes(root, seq, None) for seq in seqs]
+        per_seq = list(map(run or _Replayed(start).run_mistakes, seqs))
         return [per_seq[i] for i, _ in games]
-    if hasattr(start, "run_mistakes"):
-        return [start.run_mistakes(seqs[i], np.random.default_rng(lrn_ss)) for i, lrn_ss in games]
-    return [mistakes(start, seqs[i], np.random.default_rng(lrn_ss)) for i, lrn_ss in games]
+    if run is None:
+        def run(seq, rng):
+            return play(start, SequenceAdversary(seq, True), len(seq), rng)[0].mistakes
+    return [run(seqs[i], np.random.default_rng(lrn_ss)) for i, lrn_ss in games]
 
 
 def preset_thm2_realizable(seed: int, trials: int | None = None, T: int | None = None) -> Report:
     """Capacity learner on realizable single-label bandit runs: every run stays
-    strictly below 4*k*ln(k)*ldim(H)."""
+    strictly below 4*k*ln(k)*ldim(H).  Each trial's run is drawn once per class,
+    as run_game's random-realizable:1 adversary would draw it, checked
+    realizable, and counted for both `capacity` and `soa`."""
     trials = 50 if trials is None else trials
     T = 24 if T is None else T
     rows = []
+    adv_streams = [child.spawn(2)[0] for child in np.random.SeedSequence(seed).spawn(trials)]
+    games = [(i, None) for i in range(trials)]
     for spec in ("full:1x2", "full:1x3", "full:2x2", "full:2x3", "perm:1x3"):
         fc = catalog.parse_spec(spec)
-        k, L = fc.k, ldim(fc.full_space())
+        space = fc.full_space()
+        k, L = fc.k, ldim(space)
         bound = 4.0 * k * math.log(k) * L
-        cfg = GameConfig(fc, "capacity", "random-realizable:1", T, trials, seed)
-        counts = [t.mistakes for t in run_game(cfg)]
+        seqs = [
+            sample_realizable_sequence(fc, T, np.random.default_rng(ss))[0] for ss in adv_streams
+        ]
+        for seq in seqs:
+            if space.class_error(seq) != 0:
+                raise AssertionError(
+                    f"random-realizable:1 failed to justify its run as realizable on {spec}"
+                )
+        counts = _schedule_mistakes(make_learner("capacity", fc, T), seqs, games)
         mean, se = _mean_stderr(counts)
         rows.append(
             ReportRow(
@@ -380,8 +424,7 @@ def preset_thm2_realizable(seed: int, trials: int | None = None, T: int | None =
         )
         # bandit-to-full-info mistake ratio on matched runs: an estimate only,
         # the ratio of optimal error rates involves an infimum over algorithms
-        full_cfg = GameConfig(fc, "soa", "random-realizable:1", T, trials, seed)
-        full_mean, _ = _mean_stderr([t.mistakes for t in run_game(full_cfg)])
+        full_mean, _ = _mean_stderr(_schedule_mistakes(make_learner("soa", fc, T), seqs, games))
         if full_mean > 0:
             rows.append(
                 ReportRow(
@@ -573,7 +616,7 @@ def preset_claim_guessing(seed: int, trials: int | None = None, T: int | None = 
             # one draw per game, in game order, as `guessing_game` makes them
             hidden = np.random.default_rng(game_ss).integers(k, size=trials)
             guesser = make_guesser(strategy, k, np.random.default_rng(guess_ss))
-            mean, se = _mean_stderr(guesser.wrong_guesses(hidden).tolist())
+            mean, se = _mean_stderr(guesser.wrong_guesses(hidden))
             bound = (k - 1) / 2
             directions, slack = (">=",), 3.0 * se
             if strategy == "nonrepeating":

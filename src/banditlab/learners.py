@@ -9,6 +9,9 @@ learners expose
     predict(x, rng) -> label
     update(x, prediction, feedback) -> next state
     mistakes      running count
+
+The baseline predictors also count a whole fixed run at once, with
+`run_mistakes(seq, rng)`.
 """
 
 from __future__ import annotations
@@ -270,6 +273,10 @@ class CapacityLearner:
 # ---------------------------------------------------------------------------
 # baseline predictors
 # ---------------------------------------------------------------------------
+#
+# Besides the round-by-round protocol, which `play` runs and which stays the
+# reference, every baseline has `run_mistakes(seq, rng)`: the mistake count
+# after playing a whole fixed run from its state, computed without the loop.
 
 
 @dataclass(frozen=True)
@@ -287,6 +294,11 @@ class ConstantLearner:
     def update(self, x, prediction, feedback) -> "ConstantLearner":
         return ConstantLearner(self.k, self.label, self.mistakes + (not feedback.correct))
 
+    def run_mistakes(self, seq: LabeledSequence, rng=None) -> int:
+        """The mistake count after playing seq from this state: every round
+        whose allowed set misses the label."""
+        return self.mistakes + sum(self.label not in ex.allowed for ex in seq)
+
 
 @dataclass(frozen=True)
 class CyclingLearner:
@@ -303,13 +315,16 @@ class CyclingLearner:
     def update(self, x, prediction, feedback) -> "CyclingLearner":
         return CyclingLearner(self.k, self.t + 1, self.mistakes + (not feedback.correct))
 
+    def run_mistakes(self, seq: LabeledSequence, rng=None) -> int:
+        """The mistake count after playing seq from this state: round i
+        predicts (t + i) mod k."""
+        k = self.k
+        return self.mistakes + sum((t % k) not in ex.allowed for t, ex in enumerate(seq, self.t))
+
 
 @dataclass(frozen=True)
 class RandomLearner:
-    """Predicts a uniformly random label, ignoring all feedback.
-
-    Besides the round-by-round protocol, which `play` runs and which stays
-    the reference, `run_mistakes(seq, rng)` plays a whole fixed run at once."""
+    """Predicts a uniformly random label, ignoring all feedback."""
 
     kind: ClassVar[str] = "bandit"
     deterministic: ClassVar[bool] = False

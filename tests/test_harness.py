@@ -1,9 +1,14 @@
+import functools
 import hashlib
+import math
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditlab import (
     full_class,
@@ -18,7 +23,12 @@ from banditlab import (
     run_game,
     sample_noise_sequence,
 )
-from banditlab.adversaries import NonRepeatingGuesser, SequenceAdversary, draw_permutation_tape
+from banditlab.adversaries import (
+    NonRepeatingGuesser,
+    SequenceAdversary,
+    draw_permutation_tape,
+    sample_realizable_sequence,
+)
 from banditlab.catalog import subclass
 from banditlab.harness import (
     CSV_COLUMNS,
@@ -28,7 +38,7 @@ from banditlab.harness import (
     play_bound,
     resolve_class,
 )
-from banditlab.hypotheses import RealizabilityViolation, dumps_class
+from banditlab.hypotheses import RealizabilityViolation, dumps_class, make_sequence
 
 
 def test_run_game_is_deterministic():
@@ -236,37 +246,64 @@ def _recording_play(monkeypatch):
     return games
 
 
+def _recording_runs(monkeypatch, *classes):
+    """Replace each class's whole-run `run_mistakes` with one that records
+    (learner, rng) per call."""
+    runs = []
+    for cls in classes:
+
+        def recording_run(self, seq, rng=None, run_mistakes=cls.run_mistakes):
+            runs.append((self, rng))
+            return run_mistakes(self, seq, rng)
+
+        monkeypatch.setattr(cls, "run_mistakes", recording_run)
+    return runs
+
+
 def test_thm4_linear_plays_each_embedded_tape_once(monkeypatch):
-    """bijections:2x3 has 36 tapes, so most of 300 trials replay a tape's
-    mistakes from the cache; were the embedded learner's class randomized,
-    every trial would play, and the report is the same either way."""
+    """bijections:2x3 has 36 tapes, so most of 300 trials reuse a tape's
+    count from its one walk of the game tree; were the embedded learner's
+    class randomized, every trial would play through `play`, and the report
+    is the same either way."""
     games = _recording_play(monkeypatch)
+    runs = _recording_runs(monkeypatch, harness._Replayed)
     cached = run_experiment("thm4-linear", seed=3, trials=300).to_csv()
-    assert 0 < len(games) <= 36
-    games.clear()
+    assert 0 < len(runs) <= 36 and not games
+    runs.clear()
     monkeypatch.setattr(linear.EmbeddedLearner, "deterministic", False)
     assert run_experiment("thm4-linear", seed=3, trials=300).to_csv() == cached
-    assert len(games) == 300
+    assert len(games) == 300 and not runs
 
 
 def test_claim_permutation_builds_generators_only_for_randomized_learners(monkeypatch):
-    """Deterministic learners play through `play` without a generator; the
-    random learner plays every trial of both schedules through its whole-run
-    route, each with a generator."""
+    """Deterministic learners count each distinct tape once, through their
+    own whole-run route or the game tree's, without a generator; the random
+    learner counts every trial of both schedules, each with a generator.
+    Nothing plays through `play`."""
     games = _recording_play(monkeypatch)
-    runs = []
-    run_mistakes = learners.RandomLearner.run_mistakes
-
-    def recording_run(self, seq, rng):
-        runs.append((self, rng))
-        return run_mistakes(self, seq, rng)
-
-    monkeypatch.setattr(learners.RandomLearner, "run_mistakes", recording_run)
+    runs = _recording_runs(
+        monkeypatch,
+        harness._Replayed,
+        learners.ConstantLearner,
+        learners.CyclingLearner,
+        learners.RandomLearner,
+    )
     run_experiment("claim-permutation", seed=1, trials=20)
-    assert games and all(learner.deterministic and rng is None for learner, rng in games)
-    assert len(runs) == 2 * 20
-    for learner, rng in runs:
-        assert not learner.deterministic and isinstance(rng, np.random.Generator)
+    assert not games
+    tapes = 0  # distinct tapes times deterministic learners, over both schedules
+    for delta, k in ((1, 3), (2, 4)):
+        _, seqs, _ = _permutation_games(delta, k, 20, seed=1)
+        tapes += len(seqs) * (len(harness._permutation_zoo(delta, k)) - 1)
+    deterministic = [(learner, rng) for learner, rng in runs if learner.deterministic]
+    assert len(deterministic) == tapes
+    assert {type(learner) for learner, _ in deterministic} == {
+        harness._Replayed, learners.ConstantLearner, learners.CyclingLearner
+    }
+    assert all(rng is None for _, rng in deterministic)
+    randomized = [(learner, rng) for learner, rng in runs if not learner.deterministic]
+    assert len(randomized) == 2 * 20
+    for learner, rng in randomized:
+        assert type(learner) is learners.RandomLearner and isinstance(rng, np.random.Generator)
 
 
 def test_integer_draws_of_a_size_equal_the_scalar_draws():
@@ -279,6 +316,25 @@ def test_integer_draws_of_a_size_equal_the_scalar_draws():
             batch = np.random.default_rng(seed).integers(k, size=n).tolist()
             rng = np.random.default_rng(seed)
             assert batch == [int(rng.integers(k)) for _ in range(n)], (k, seed)
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        learners.ConstantLearner(4),
+        learners.ConstantLearner(4, 2, 3),
+        learners.CyclingLearner(4),
+        learners.CyclingLearner(4, 6, 2),
+    ],
+)
+@pytest.mark.parametrize("aname", ["guessing", "noise:1", "noise:2", "random-realizable:3"])
+def test_baseline_whole_runs_match_play_round_by_round(start, aname):
+    fc = full_class(2, 4)
+    for seed in range(10):
+        seq = make_adversary(aname, fc, 15, np.random.default_rng(seed)).seq
+        for length in (0, 1, 6, 15):
+            end, _ = play(start, SequenceAdversary(seq[:length], False), length, None)
+            assert start.run_mistakes(seq[:length]) == end.mistakes, (seed, length)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -337,6 +393,35 @@ def test_schedule_mistakes_match_fresh_learners_on_every_game(delta, k, seed):
     for lname in harness._permutation_zoo(delta, k) + ("soa",):
         expected = _fresh_schedule_mistakes(fc, lname, horizon, seqs, games)
         got = harness._schedule_mistakes(make_learner(lname, fc, horizon), seqs, games)
+        assert got == expected, lname
+
+
+def _realizable_games(spec, size, trials, seed, T=24):
+    """A class and thm2-realizable's sampled runs with allowed sets of `size`
+    labels: trial i's sequence from the adversary stream run_game gives it,
+    and its learner seed."""
+    fc = resolve_class(spec)
+    seqs, games = [], []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        adv_ss, lrn_ss = child.spawn(2)
+        seqs.append(sample_realizable_sequence(fc, T, np.random.default_rng(adv_ss), size)[0])
+        games.append((i, lrn_ss))
+    return fc, seqs, games
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("spec", ["full:1x2", "full:2x3", "perm:1x3"])
+def test_schedule_mistakes_match_fresh_learners_on_sampled_runs(spec, size, seed):
+    fc, seqs, games = _realizable_games(spec, size, 40, seed)
+    for lname in harness._permutation_zoo(1, fc.k) + ("soa",):
+        try:
+            expected = _fresh_schedule_mistakes(fc, lname, 24, seqs, games)
+        except RealizabilityViolation:  # the learner refuses multi-label runs
+            with pytest.raises(RealizabilityViolation):
+                harness._schedule_mistakes(make_learner(lname, fc, 24), seqs, games)
+            continue
+        got = harness._schedule_mistakes(make_learner(lname, fc, 24), seqs, games)
         assert got == expected, lname
 
 
@@ -518,3 +603,81 @@ PINNED_T = {"thm3-agnostic": 40}  # the others run at their default horizon
 def test_preset_reports_keep_their_pinned_bytes(preset, trials):
     csv = run_experiment(preset, seed=7, trials=trials, T=PINNED_T.get(preset)).to_csv()
     assert hashlib.sha256(csv.encode()).hexdigest() == PINNED_CSV_SHA256[preset, trials]
+
+
+# ---------------------------------------------------------------------------
+# thm2-realizable against run_game, and the report statistics
+# ---------------------------------------------------------------------------
+
+THM2_CLASSES = ("full:1x2", "full:1x3", "full:2x2", "full:2x3", "perm:1x3")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_thm2_realizable_rows_are_the_means_of_run_game_transcripts(seed):
+    trials, T = 20, 24
+    rows = iter(run_experiment("thm2-realizable", seed=seed, trials=trials).rows)
+    for spec in THM2_CLASSES:
+        counts = {
+            lname: [
+                t.mistakes
+                for t in run_game(GameConfig(spec, lname, "random-realizable:1", T, trials, seed))
+            ]
+            for lname in ("capacity", "soa")
+        }
+        row = next(rows)
+        assert (row.klass, row.learner, row.T, row.trials) == (spec, "capacity", T, trials)
+        assert (row.mean_mistakes, row.stderr) == harness._mean_stderr(counts["capacity"])
+        assert row.passed == (max(counts["capacity"]) < row.bound)
+        full_mean, _ = harness._mean_stderr(counts["soa"])
+        if full_mean > 0:
+            ratio = next(rows)
+            assert (ratio.klass, ratio.learner) == (spec, "pob-estimate")
+            assert ratio.mean_mistakes == row.mean_mistakes / full_mean
+    assert next(rows, None) is None
+
+
+def test_thm2_realizable_refuses_a_run_no_hypothesis_realizes(monkeypatch):
+    # one instance shown with label 0, then with label 1: no hypothesis fits both
+    clash = make_sequence([(0, [0]), (0, [1])])
+    assert full_class(1, 2).full_space().class_error(clash) > 0
+    monkeypatch.setattr(harness, "sample_realizable_sequence", lambda fc, T, rng: (clash, 0))
+    with pytest.raises(AssertionError, match="failed to justify"):
+        run_experiment("thm2-realizable", seed=0, trials=3)
+
+
+def _sequential_mean_stderr(values):
+    """The report statistics with every sum taken left to right, one
+    `operator.add` at a time."""
+    vals = [float(v) for v in values]
+    n = len(vals)
+    mean = functools.reduce(operator.add, vals) / n
+    if n < 2:
+        return mean, 0.0
+    var = functools.reduce(operator.add, [(v - mean) ** 2 for v in vals]) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
+def test_report_statistics_sum_in_order_on_every_python():
+    # a compensated sum (math.fsum, or the built-in sum from Python 3.12 on)
+    # gives 4.7 here; the sum in order gives 4.699999999999999
+    vals = [0.1] * 10 + [0.7, 3.0]
+    assert math.fsum(vals) == 4.7
+    assert functools.reduce(operator.add, vals) == 4.699999999999999
+    mean, se = harness._mean_stderr(vals)
+    assert mean == 4.699999999999999 / 12
+    assert (mean.hex(), se.hex()) == tuple(v.hex() for v in _sequential_mean_stderr(vals))
+
+
+_counts = st.lists(st.integers(-50, 50), min_size=1, max_size=60)
+_floats = st.lists(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=60
+)
+_constant = st.builds(lambda v, n: [v] * n, st.floats(-1e3, 1e3), st.integers(1, 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_counts | _floats | _constant)
+def test_report_statistics_match_the_sequential_sums(values):
+    expected = tuple(v.hex() for v in _sequential_mean_stderr(values))
+    assert tuple(v.hex() for v in harness._mean_stderr(values)) == expected
+    assert tuple(v.hex() for v in harness._mean_stderr(np.array(values))) == expected
