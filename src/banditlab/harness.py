@@ -8,7 +8,10 @@ byte-stable across repeats.
 against the minimax adversary, which reacts to predictions, as against any
 other.  A preset whose games are fixed sequences counts each whole run with a
 `run_mistakes(seq, rng)` instead (see `_schedule_mistakes`), and `play` is the
-reference those are tested against.
+reference those are tested against.  On a block schedule, a learner class that
+plays each block of a product on its own (`blockwise`) is counted one block
+run at a time, on the block's class, and a game's count is the sum over its
+blocks (see `preset_claim_permutation`).
 """
 
 from __future__ import annotations
@@ -366,6 +369,20 @@ def _block_schedules(fc: FiniteClass, delta: int, draws) -> tuple[list[LabeledSe
     return [permutation_sequence(fc, delta, tape) for tape in tapes], games
 
 
+def _block_runs(block: FiniteClass, draws) -> tuple[list[LabeledSequence], list[tuple[int, ...]]]:
+    """The one-block schedules of (tape, learner seed) draws: the run on
+    `block` of each distinct block row of the tapes, built once in order of
+    first draw, and each distinct tape, indexed as `_block_schedules` indexes
+    it, as the indices of its rows' runs.  Row j's run, its instances shifted
+    by j*k, is block j of the tape's schedule."""
+    rows: dict[tuple, int] = {}
+    tapes = [
+        tuple(rows.setdefault(row, len(rows)) for row in tape)
+        for tape in dict.fromkeys(tape for tape, _ in draws)
+    ]
+    return [permutation_sequence(block, 1, (row,)) for row in rows], tapes
+
+
 def _schedule_mistakes(start, seqs: list[LabeledSequence], games) -> list[int]:
     """The mistakes of learner state `start` in each game, a (sequence index,
     learner seed) pair, played in full against seqs[index].  States are
@@ -640,8 +657,8 @@ def preset_claim_guessing(seed: int, trials: int | None = None, T: int | None = 
 
 
 def _permutation_zoo(delta: int, k: int) -> tuple[str, ...]:
-    # bsoa at delta=2 solves bldim through perm:2x4's factors, about 20 ms per
-    # 100-trial call, but stays out: adding it moves this preset's CSV.
+    # bsoa at delta=2 would be counted on perm:1x4's block runs, about 1.6 ms
+    # per 100-trial call, but stays out: adding it moves this preset's CSV.
     zoo = ["capacity", "soa-bandit", "constant", "cycling", "random"]
     if delta == 1:
         zoo.insert(2, "bsoa")
@@ -652,21 +669,37 @@ def preset_claim_permutation(seed: int, trials: int | None = None, T: int | None
     """Block-bijection schedule: every bandit learner averages at least
     delta*(k-1)*k/4 mistakes.  Trial i's (adversary, learner) seed pair is
     spawned once per call and serves both (delta, k) schedules.  Every learner
-    plays the same trials, each a (tape, learner seed) pair drawn once; each
-    distinct tape's sequence is built once and replayed to every learner."""
+    plays the same trials, each a (tape, learner seed) pair drawn once.
+
+    perm:deltaxk is the product of delta copies of one perm:1xk block object.
+    A `blockwise` learner plays each block as it would play the block alone,
+    so it is counted on that block: each distinct block row's run once, and
+    each distinct tape as the sum of its rows' counts.  Any other learner is
+    counted on each distinct tape's whole sequence, built once.  Both go
+    through `_schedule_mistakes`, and the whole-sequence route is the
+    blockwise one's test oracle."""
     trials = 10_000 if trials is None else trials
     rows = []
     streams = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(trials)]
     for delta, k in ((1, 3), (2, 4)):
         fc = catalog.permutation_class(delta, k)
+        block = fc.factors[0] if delta > 1 else fc
         horizon = delta * k * (k - 1) // 2
         floor = permutation_floor(delta, k)
-        seqs, games = _block_schedules(fc, delta, (
+        draws = [
             (draw_permutation_tape(delta, k, np.random.default_rng(adv_ss)), lrn_ss)
             for adv_ss, lrn_ss in streams
-        ))
+        ]
+        seqs, games = _block_schedules(fc, delta, draws)
+        runs, tapes = _block_runs(block, draws)
         for lname in _permutation_zoo(delta, k):
-            counts = _schedule_mistakes(make_learner(lname, fc, horizon), seqs, games)
+            if learner_class(lname).blockwise:
+                start = make_learner(lname, block, horizon // delta)
+                per_run = _schedule_mistakes(start, runs, [(r, None) for r in range(len(runs))])
+                per_tape = [sum(per_run[r] for r in tape) for tape in tapes]
+                counts = [per_tape[i] for i, _ in games]
+            else:
+                counts = _schedule_mistakes(make_learner(lname, fc, horizon), seqs, games)
             mean, se = _mean_stderr(counts)
             rows.append(
                 ReportRow(

@@ -6,6 +6,8 @@ learners expose
 
     kind          "full" or "bandit" (which feedback they consume)
     deterministic whether predict ignores its rng (a class-level trait)
+    blockwise     whether, on a product class, it plays each factor's instances
+                  as it would play that factor alone (a class-level trait)
     predict(x, rng) -> label
     update(x, prediction, feedback) -> next state
     mistakes      running count
@@ -72,10 +74,17 @@ class SOALearner:
     Predicts the dimension-maximizing label and keeps only hypotheses agreeing
     with the revealed label set.  On single-label realizable runs it makes at
     most ldim(H) mistakes.
+
+    Blockwise: on a product A x B its version space stays a product, and at an
+    instance of A each label's restriction has the dimension of the A-part's
+    restriction plus ldim of the B-part, a constant shift (an empty
+    restriction stays -1, below every nonempty one).  So its predictions, ties
+    included, and its mistakes on A's instances are those of SOA on A alone.
     """
 
     kind: ClassVar[str] = "full"
     deterministic: ClassVar[bool] = True
+    blockwise: ClassVar[bool] = True
 
     space: VersionSpace
     mistakes: int = 0
@@ -102,10 +111,14 @@ class SOABanditLearner:
     Equality-restricts on correct rounds (exact when label sets are
     singletons) and inequality-restricts on wrong ones.  No mistake guarantee;
     it is a zoo member for lower-bound probes.
+
+    Blockwise, as `SOALearner` is: both restrictions keep a product's version
+    space a product, and the dimensions it compares shift by a constant.
     """
 
     kind: ClassVar[str] = "bandit"
     deterministic: ClassVar[bool] = True
+    blockwise: ClassVar[bool] = True
 
     space: VersionSpace
     mistakes: int = 0
@@ -131,10 +144,16 @@ class BanditOptimalLearner:
     Every x has a label whose avoidance drops bldim, so each wrong answer
     shrinks bldim by at least one: single-label realizable runs cost at most
     bldim(H) mistakes.
+
+    Blockwise: on a product A x B its version space stays a product, and at an
+    instance of A each avoidance restriction has the bldim of the A-part's
+    plus bldim of the B-part, a constant shift (an empty one stays -1, below
+    every nonempty one), so it predicts and errs as on A alone.
     """
 
     kind: ClassVar[str] = "bandit"
     deterministic: ClassVar[bool] = True
+    blockwise: ClassVar[bool] = True
 
     space: VersionSpace
     mistakes: int = 0
@@ -235,10 +254,18 @@ class CapacityLearner:
     reads the same split: a member stays when a label other than the wrong
     one keeps its dimension, and is otherwise replaced, in label order, by
     its nonempty restrictions to the other labels.
+
+    Blockwise: on a product A x B its members stay the products V_A x V_B of
+    an A collection and a B collection, since an update at an instance of A
+    keeps each member's B-part.  There every label's drop is the A
+    collection's drop times the sum of k^(2 ldim V_B) over the B-parts, a
+    positive common multiple, so its predictions, ties included, and its
+    mistakes on A's instances are those of the learner on A alone.
     """
 
     kind: ClassVar[str] = "bandit"
     deterministic: ClassVar[bool] = True
+    blockwise: ClassVar[bool] = True
 
     collection: ClassCollection
     k: int
@@ -281,8 +308,12 @@ class CapacityLearner:
 
 @dataclass(frozen=True)
 class ConstantLearner:
+    """Predicts one label every round.  Blockwise: what it plays never depends
+    on what it has seen."""
+
     kind: ClassVar[str] = "bandit"
     deterministic: ClassVar[bool] = True
+    blockwise: ClassVar[bool] = True
 
     k: int
     label: int = 0
@@ -302,8 +333,13 @@ class ConstantLearner:
 
 @dataclass(frozen=True)
 class CyclingLearner:
+    """Predicts t mod k at its t-th round.  Not blockwise: its round counter
+    runs across blocks, so a block starts where the rounds before it left the
+    cycle."""
+
     kind: ClassVar[str] = "bandit"
     deterministic: ClassVar[bool] = True
+    blockwise: ClassVar[bool] = False
 
     k: int
     t: int = 0
@@ -324,10 +360,13 @@ class CyclingLearner:
 
 @dataclass(frozen=True)
 class RandomLearner:
-    """Predicts a uniformly random label, ignoring all feedback."""
+    """Predicts a uniformly random label, ignoring all feedback.  Not
+    blockwise: one generator draws the whole run, so a block's draws depend
+    on the rounds before it."""
 
     kind: ClassVar[str] = "bandit"
     deterministic: ClassVar[bool] = False
+    blockwise: ClassVar[bool] = False
 
     k: int
     mistakes: int = 0
@@ -436,11 +475,13 @@ class Exp4Learner:
     `weights[(mask, j)]` is the summed weight of the pasts that reach that
     state; each past stands for the M(r, L-j) = sum_{i<=L-j} C(r,i) * k^i
     experts that share it, r being the rounds left.  Weights are rescaled so
-    that the experts' total weight is 1.
+    that the experts' total weight is 1.  Not blockwise: its play is random,
+    and its weights and exploration rate span the whole class and horizon.
     """
 
     kind: ClassVar[str] = "bandit"
     deterministic: ClassVar[bool] = False
+    blockwise: ClassVar[bool] = False
 
     fc: FiniteClass
     T: int

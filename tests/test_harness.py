@@ -1,7 +1,9 @@
 import functools
 import hashlib
+import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -27,9 +29,10 @@ from banditlab.adversaries import (
     NonRepeatingGuesser,
     SequenceAdversary,
     draw_permutation_tape,
+    permutation_sequence,
     sample_realizable_sequence,
 )
-from banditlab.catalog import subclass
+from banditlab.catalog import parse_spec, subclass
 from banditlab.harness import (
     CSV_COLUMNS,
     PRESETS,
@@ -248,12 +251,12 @@ def _recording_play(monkeypatch):
 
 def _recording_runs(monkeypatch, *classes):
     """Replace each class's whole-run `run_mistakes` with one that records
-    (learner, rng) per call."""
+    (learner, sequence, rng) per call."""
     runs = []
     for cls in classes:
 
         def recording_run(self, seq, rng=None, run_mistakes=cls.run_mistakes):
-            runs.append((self, rng))
+            runs.append((self, seq, rng))
             return run_mistakes(self, seq, rng)
 
         monkeypatch.setattr(cls, "run_mistakes", recording_run)
@@ -276,10 +279,10 @@ def test_thm4_linear_plays_each_embedded_tape_once(monkeypatch):
 
 
 def test_claim_permutation_builds_generators_only_for_randomized_learners(monkeypatch):
-    """Deterministic learners count each distinct tape once, through their
-    own whole-run route or the game tree's, without a generator; the random
-    learner counts every trial of both schedules, each with a generator.
-    Nothing plays through `play`."""
+    """A blockwise learner counts each distinct block run once, on the block's
+    class, and cycling each distinct tape's whole sequence once, neither with
+    a generator; the random learner counts every trial of both schedules,
+    each with a generator.  Nothing plays through `play`."""
     games = _recording_play(monkeypatch)
     runs = _recording_runs(
         monkeypatch,
@@ -290,17 +293,25 @@ def test_claim_permutation_builds_generators_only_for_randomized_learners(monkey
     )
     run_experiment("claim-permutation", seed=1, trials=20)
     assert not games
-    tapes = 0  # distinct tapes times deterministic learners, over both schedules
+    expected = {}  # learner class -> Counter of the sequences it should count
     for delta, k in ((1, 3), (2, 4)):
-        _, seqs, _ = _permutation_games(delta, k, 20, seed=1)
-        tapes += len(seqs) * (len(harness._permutation_zoo(delta, k)) - 1)
-    deterministic = [(learner, rng) for learner, rng in runs if learner.deterministic]
-    assert len(deterministic) == tapes
-    assert {type(learner) for learner, _ in deterministic} == {
-        harness._Replayed, learners.ConstantLearner, learners.CyclingLearner
-    }
-    assert all(rng is None for _, rng in deterministic)
-    randomized = [(learner, rng) for learner, rng in runs if not learner.deterministic]
+        fc, seqs, _ = _permutation_games(delta, k, 20, seed=1)
+        block = fc.factors[0] if delta > 1 else fc
+        draws = _permutation_draws(delta, k, 20, seed=1)
+        block_runs = {permutation_sequence(block, 1, (row,)) for tape, _ in draws for row in tape}
+        assert len(block_runs) <= math.factorial(k)
+        for lname in harness._permutation_zoo(delta, k):
+            cls = learners.learner_class(lname)
+            if cls.deterministic:
+                counted = expected.setdefault(cls, Counter())
+                counted.update(block_runs if cls.blockwise else seqs)
+    got = {}
+    for learner, seq, rng in runs:
+        if learner.deterministic:
+            assert rng is None
+            got.setdefault(type(getattr(learner, "state", learner)), Counter())[seq] += 1
+    assert got == expected
+    randomized = [(learner, rng) for learner, _, rng in runs if not learner.deterministic]
     assert len(randomized) == 2 * 20
     for learner, rng in randomized:
         assert type(learner) is learners.RandomLearner and isinstance(rng, np.random.Generator)
@@ -364,15 +375,20 @@ def test_random_whole_runs_match_play_round_by_round(spec, aname, seed):
 # ---------------------------------------------------------------------------
 
 
-def _permutation_games(delta, k, trials, seed):
-    """A class and its block schedules from seeded (tape, learner seed)
-    draws, as claim-permutation draws them."""
-    fc = permutation_class(delta, k)
+def _permutation_draws(delta, k, trials, seed):
+    """Seeded (tape, learner seed) draws, as claim-permutation draws them."""
     draws = []
     for child in np.random.SeedSequence(seed).spawn(trials):
         adv_ss, lrn_ss = child.spawn(2)
         draws.append((draw_permutation_tape(delta, k, np.random.default_rng(adv_ss)), lrn_ss))
-    return (fc, *harness._block_schedules(fc, delta, draws))
+    return draws
+
+
+def _permutation_games(delta, k, trials, seed):
+    """A class and its block schedules from seeded (tape, learner seed)
+    draws, as claim-permutation draws them."""
+    fc = permutation_class(delta, k)
+    return (fc, *harness._block_schedules(fc, delta, _permutation_draws(delta, k, trials, seed)))
 
 
 def _fresh_schedule_mistakes(fc, lname, horizon, seqs, games):
@@ -394,6 +410,116 @@ def test_schedule_mistakes_match_fresh_learners_on_every_game(delta, k, seed):
         expected = _fresh_schedule_mistakes(fc, lname, horizon, seqs, games)
         got = harness._schedule_mistakes(make_learner(lname, fc, horizon), seqs, games)
         assert got == expected, lname
+
+
+# ---------------------------------------------------------------------------
+# blockwise learners: a product's blocks counted one at a time
+# ---------------------------------------------------------------------------
+
+BLOCKWISE = tuple(name for name, cls in learners.LEARNERS.items() if cls.blockwise)
+
+
+def test_blockwise_is_a_trait_of_every_learner_class():
+    for cls in learners.LEARNERS.values():
+        assert type(vars(cls)["blockwise"]) is bool, cls
+    assert BLOCKWISE == ("soa", "capacity", "soa-bandit", "bsoa", "constant")
+
+
+def _all_tapes(delta, k):
+    return list(itertools.product(itertools.permutations(range(k)), repeat=delta))
+
+
+@pytest.mark.parametrize("spec", ["perm:2x3", "perm:3x3", "perm:2x4"])
+def test_blockwise_counts_sum_over_the_blocks_of_every_tape(spec):
+    """The whole-sequence route on the product is the oracle: on every tape,
+    a blockwise learner's mistakes are the sum of its mistakes on each block
+    row's run, played on the one shared block object."""
+    fc = parse_spec(spec)
+    delta, k = fc.n // fc.k, fc.k
+    block = fc.factors[0]
+    for name in BLOCKWISE + ("constant:2",):
+        whole = harness._Replayed(make_learner(name, fc, 0)).run_mistakes
+        part = harness._Replayed(make_learner(name, block, 0)).run_mistakes
+        for tape in _all_tapes(delta, k):
+            parts = [part(permutation_sequence(block, 1, (row,))) for row in tape]
+            assert sum(parts) == whole(permutation_sequence(fc, delta, tape)), (name, tape)
+
+
+def _split_by_block(fc, seq):
+    """A product's run as its outer block's rounds and its inner block's
+    rounds, in order, the inner instances shifted down by outer.n."""
+    outer, _ = fc.factors
+    return (
+        tuple(ex for ex in seq if ex.x < outer.n),
+        tuple(type(ex)(ex.x - outer.n, ex.allowed) for ex in seq if ex.x >= outer.n),
+    )
+
+
+@pytest.mark.parametrize("spec", ["full:2x3", "full:3x3", "perm:2x3"])
+def test_blockwise_counts_sum_over_interleaved_blocks(spec):
+    """On sampled runs the blocks interleave; a blockwise learner's mistakes
+    are still the sum of its mistakes on each block's rounds alone."""
+    fc = parse_spec(spec)
+    seqs = [
+        sample_realizable_sequence(fc, 24, np.random.default_rng(seed))[0] for seed in range(40)
+    ]
+    for name in BLOCKWISE:
+        whole = harness._Replayed(make_learner(name, fc, 24)).run_mistakes
+        parts = [harness._Replayed(make_learner(name, f, 24)).run_mistakes for f in fc.factors]
+        for seq in seqs:
+            outer_run, inner_run = _split_by_block(fc, seq)
+            assert outer_run and inner_run  # both blocks are played
+            assert parts[0](outer_run) + parts[1](inner_run) == whole(seq), name
+
+
+def test_cycling_is_not_blockwise():
+    """Its counter carries the rounds of one block into the next: a k=4 block
+    runs 6 rounds and leaves the cycle at 2, so the sum over blocks differs
+    on 480 of perm:2x4's 576 tapes.  A k=3 block runs 3 rounds, a whole
+    cycle, so on perm:2x3 the sum happens to agree."""
+    assert not learners.CyclingLearner.blockwise
+    for spec, differing in (("perm:2x4", 480), ("perm:2x3", 0)):
+        fc = parse_spec(spec)
+        delta, k = fc.n // fc.k, fc.k
+        block = fc.factors[0]
+        start, block_start = make_learner("cycling", fc, 0), make_learner("cycling", block, 0)
+        count = 0
+        for tape in _all_tapes(delta, k):
+            parts = [block_start.run_mistakes(permutation_sequence(block, 1, (row,))) for row in tape]
+            count += sum(parts) != start.run_mistakes(permutation_sequence(fc, delta, tape))
+        assert count == differing, spec
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_block_runs_concatenate_to_each_games_schedule(seed):
+    delta, k = 2, 4
+    fc = permutation_class(delta, k)
+    draws = _permutation_draws(delta, k, 80, seed)
+    seqs, games = harness._block_schedules(fc, delta, draws)
+    runs, tapes = harness._block_runs(fc.factors[0], draws)
+    assert len(tapes) == len(seqs) and len(runs) == len(set(runs)) <= math.factorial(k)
+    for (tape, _), (i, _) in zip(draws, games):
+        assert permutation_sequence(fc, delta, tape) == seqs[i]
+        shifted = tuple(
+            type(ex)(ex.x + j * k, ex.allowed) for j, r in enumerate(tapes[i]) for ex in runs[r]
+        )
+        assert shifted == seqs[i]
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_claim_permutation_rows_match_fresh_learners(seed):
+    """Each row's mean and stderr are those of fresh, unwrapped learners
+    played game by game through `play` on the whole schedules."""
+    rows = iter(run_experiment("claim-permutation", seed=seed, trials=80).rows)
+    for delta, k in ((1, 3), (2, 4)):
+        fc, seqs, games = _permutation_games(delta, k, 80, seed)
+        horizon = delta * k * (k - 1) // 2
+        for lname in harness._permutation_zoo(delta, k):
+            row = next(rows)
+            assert (row.klass, row.learner) == (fc.name, lname)
+            counts = _fresh_schedule_mistakes(fc, lname, horizon, seqs, games)
+            assert (row.mean_mistakes, row.stderr) == harness._mean_stderr(counts), lname
+    assert next(rows, None) is None
 
 
 def _realizable_games(spec, size, trials, seed, T=24):
