@@ -17,6 +17,7 @@ replays it.  Only MinimaxBanditAdversary reacts to the predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -204,9 +205,9 @@ def draw_permutation_tape(delta: int, k: int, rng) -> tuple[tuple[int, ...], ...
     return tuple(tuple(int(v) for v in rng.permutation(k)) for _ in range(delta))
 
 
-def permutation_floor(delta: int, k: int) -> float:
-    """Expected-mistake floor delta*(k-1)*k/4 forced on any learner."""
-    return delta * (k - 1) * k / 4
+def permutation_floor(delta: int, k: int) -> Fraction:
+    """Expected-mistake floor delta*(k-1)*k/4 forced on any learner, exactly."""
+    return Fraction(delta * (k - 1) * k, 4)
 
 
 def permutation_sequence(fc: FiniteClass, delta: int, tape) -> LabeledSequence:

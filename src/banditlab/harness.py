@@ -8,16 +8,17 @@ byte-stable across repeats.
 against the minimax adversary, which reacts to predictions, as against any
 other.  A preset whose games are fixed sequences counts each whole run with a
 `run_mistakes(seq, rng)` instead (see `_schedule_mistakes`), and `play` is the
-reference those are tested against.  On a block schedule, a learner class that
-plays each block of a product on its own (`blockwise`) is counted one block
-run at a time, on the block's class, and a game's count is the sum over its
-blocks (see `preset_claim_permutation`).
+reference those are tested against.  A block-schedule tape is one of (k!)^delta
+equally likely, so a deterministic learner's row there is exact: the `Law` of
+its counts over every tape (see `preset_claim_permutation`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import ClassVar
 
@@ -25,7 +26,6 @@ import numpy as np
 
 from . import adversaries, catalog, linear
 from .adversaries import (
-    SequenceAdversary,
     draw_permutation_tape,
     make_adversary,
     make_guesser,
@@ -34,7 +34,7 @@ from .adversaries import (
     sample_realizable_sequence,
 )
 from .dimensions import bldim, ldim
-from .hypotheses import FiniteClass, LabeledSequence, VersionSpace, read_class
+from .hypotheses import FiniteClass, LabeledSequence, MultiLabelExample, VersionSpace, read_class
 from .learners import (
     BanditFeedback,
     FullInfoFeedback,
@@ -323,9 +323,9 @@ def _mean_stderr(values) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def bound_holds(value: float, bound: float, direction: str, slack: float = 0.0) -> bool:
+def bound_holds(value, bound, direction: str, slack=0) -> bool:
     """Whether value meets bound in the given direction, allowing slack on
-    the bound's side."""
+    the bound's side; exact for `Fraction`s at the default slack."""
     if direction == ">=":
         return value >= bound - slack
     if direction == "<":
@@ -342,17 +342,56 @@ def _mc_pass(mean: float, stderr: float, bound: float, direction: str) -> bool:
     return bound_holds(mean, bound, direction, slack=3.0 * stderr)
 
 
-UNIFORM_FAILURE_PROB = 1e-6  # per row checked by `_uniform_count_slack`
+@dataclass(frozen=True)
+class Law:
+    """The exact law of one game's mistake count: its mean and variance, and
+    its least and largest count.  Every row of a game with a known law is
+    judged by it (`_law_rows`); only a row with no known law uses `_mc_pass`."""
+
+    mean: Fraction
+    var: Fraction
+    lo: int
+    hi: int
+
+    @classmethod
+    def uniform_over(cls, counts) -> "Law":
+        """One count per equally likely draw, summed as integers, not `Fraction`s."""
+        counts = [int(c) for c in counts]
+        n, total, squares = len(counts), sum(counts), sum(c * c for c in counts)
+        mean, var = Fraction(total, n), Fraction(n * squares - total**2, n * n)
+        return cls(mean, var, min(counts), max(counts))
+
+    @classmethod
+    def binomial(cls, n: int, p: Fraction) -> "Law":
+        """n independent rounds, each a mistake with probability p."""
+        return cls(n * p, n * p * (1 - p), 0, n)
+
+    def summed(self, times: int) -> "Law":
+        """The law of the sum of `times` independent counts of this law."""
+        return Law(times * self.mean, times * self.var, times * self.lo, times * self.hi)
+
+    def tolerance(self, trials: int) -> float:
+        """Half-width eps with P(|mean - E| >= eps) <= 1e-6 for the mean of
+        `trials` independent counts of this law: Bernstein's inequality with
+        the exact variance and the range hi - lo."""
+        log = math.log(2.0 / 1e-6)
+        linear = 2.0 * (self.hi - self.lo) * log / 3.0
+        var = float(self.var)
+        return (linear + math.sqrt(linear**2 + 8.0 * trials * var * log)) / (2.0 * trials)
 
 
-def _uniform_count_slack(k: int, trials: int, p: float = UNIFORM_FAILURE_PROB) -> float:
-    """Half-width eps with P(|mean - (k-1)/2| >= eps) <= p for the mean of
-    `trials` iid counts uniform on {0, ..., k-1}: Bernstein's inequality with
-    the exact variance (k^2-1)/12 and the range k-1."""
-    log = math.log(2.0 / p)
-    linear = 2.0 * (k - 1) * log / 3.0
-    var = (k * k - 1) / 12.0
-    return (linear + math.sqrt(linear**2 + 8.0 * trials * var * log)) / (2.0 * trials)
+def _law_rows(label, trials, law, bound, directions, sample=None) -> list[ReportRow]:
+    """One row per direction for the game (class, learner, adversary, T) of
+    `label`, whose one-game law is `law`.  Without a sample the row is exact:
+    it holds the law's mean over all `trials` equally likely draws, stderr 0,
+    and is judged by exact comparison.  A sample is the (mean, stderr) of
+    `trials` games, judged within the law's tolerance."""
+    mean, se = (law.mean, 0.0) if sample is None else sample
+    tol = 0 if sample is None else law.tolerance(trials)
+    return [
+        ReportRow(*label, trials, float(mean), se, float(bound), d, bound_holds(mean, bound, d, tol))
+        for d in directions
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -360,52 +399,34 @@ def _uniform_count_slack(k: int, trials: int, p: float = UNIFORM_FAILURE_PROB) -
 # ---------------------------------------------------------------------------
 
 
-def _block_schedules(fc: FiniteClass, delta: int, draws) -> tuple[list[LabeledSequence], list]:
-    """Block-schedule games from (tape, learner seed) draws: the sequence of
-    each distinct tape, built once in order of first draw, and each game as
-    (index of its sequence, learner seed)."""
-    tapes: dict[tuple, int] = {}
-    games = [(tapes.setdefault(tape, len(tapes)), lrn_ss) for tape, lrn_ss in draws]
-    return [permutation_sequence(fc, delta, tape) for tape in tapes], games
+def _every_tape(block: FiniteClass, delta: int) -> dict[tuple, LabeledSequence]:
+    """Every tape of the block schedule on the product of delta copies of
+    `block` (a perm:1xk class), in `itertools.product` order, with its
+    sequence.  Row j of a tape plays that row's run on `block`, its instances
+    shifted by j*k: each (j, row) segment is built once, and a tape's
+    sequence joins its rows' segments, so it equals the product's
+    `permutation_sequence`."""
+    k = block.k
+    rows = list(itertools.permutations(range(k)))
+    runs = [permutation_sequence(block, 1, (row,)) for row in rows]
+    segment = {
+        (j, row): tuple(MultiLabelExample(ex.x + j * k, ex.allowed) for ex in run)
+        for j in range(delta)
+        for row, run in zip(rows, runs)
+    }
+    return {
+        tape: sum((segment[j, row] for j, row in enumerate(tape)), ())
+        for tape in itertools.product(rows, repeat=delta)
+    }
 
 
-def _block_runs(block: FiniteClass, draws) -> tuple[list[LabeledSequence], list[tuple[int, ...]]]:
-    """The one-block schedules of (tape, learner seed) draws: the run on
-    `block` of each distinct block row of the tapes, built once in order of
-    first draw, and each distinct tape, indexed as `_block_schedules` indexes
-    it, as the indices of its rows' runs.  Row j's run, its instances shifted
-    by j*k, is block j of the tape's schedule."""
-    rows: dict[tuple, int] = {}
-    tapes = [
-        tuple(rows.setdefault(row, len(rows)) for row in tape)
-        for tape in dict.fromkeys(tape for tape, _ in draws)
-    ]
-    return [permutation_sequence(block, 1, (row,)) for row in rows], tapes
-
-
-def _schedule_mistakes(start, seqs: list[LabeledSequence], games) -> list[int]:
-    """The mistakes of learner state `start` in each game, a (sequence index,
-    learner seed) pair, played in full against seqs[index].  States are
-    values, so every game starts from `start`, and each is counted by a
-    whole-run `run_mistakes(seq, rng)`:
-
-    - a sequence fixes a deterministic learner's whole game, so each sequence
-      is counted once, without a generator: by the learner's own
-      `run_mistakes` (the baselines'), else along one `_Replayed` game tree,
-      where sequences that share a prefix of (instance, feedback) pairs share
-      its steps;
-    - a randomized learner with a `run_mistakes` (`RandomLearner`) counts
-      every game with a generator of its seed;
-    - any other learner plays every game through `play`, which stays the
-      reference for every `run_mistakes`."""
-    run = getattr(start, "run_mistakes", None)
-    if start.deterministic:
-        per_seq = list(map(run or _Replayed(start).run_mistakes, seqs))
-        return [per_seq[i] for i, _ in games]
-    if run is None:
-        def run(seq, rng):
-            return play(start, SequenceAdversary(seq, True), len(seq), rng)[0].mistakes
-    return [run(seqs[i], np.random.default_rng(lrn_ss)) for i, lrn_ss in games]
+def _schedule_mistakes(start, seqs) -> list[int]:
+    """The mistakes of deterministic learner state `start` on each fixed run
+    of seqs, each counted whole from `start`: by the learner's own
+    `run_mistakes` (the baselines'), else along one `_Replayed` game tree,
+    where runs that share a prefix of (instance, feedback) pairs share its
+    steps.  `play` is the reference for both."""
+    return list(map(getattr(start, "run_mistakes", None) or _Replayed(start).run_mistakes, seqs))
 
 
 def preset_thm2_realizable(seed: int, trials: int | None = None, T: int | None = None) -> Report:
@@ -417,7 +438,6 @@ def preset_thm2_realizable(seed: int, trials: int | None = None, T: int | None =
     T = 24 if T is None else T
     rows = []
     adv_streams = [child.spawn(2)[0] for child in np.random.SeedSequence(seed).spawn(trials)]
-    games = [(i, None) for i in range(trials)]
     for spec in ("full:1x2", "full:1x3", "full:2x2", "full:2x3", "perm:1x3"):
         fc = catalog.parse_spec(spec)
         space = fc.full_space()
@@ -431,7 +451,7 @@ def preset_thm2_realizable(seed: int, trials: int | None = None, T: int | None =
                 raise AssertionError(
                     f"random-realizable:1 failed to justify its run as realizable on {spec}"
                 )
-        counts = _schedule_mistakes(make_learner("capacity", fc, T), seqs, games)
+        counts = _schedule_mistakes(make_learner("capacity", fc, T), seqs)
         mean, se = _mean_stderr(counts)
         rows.append(
             ReportRow(
@@ -441,7 +461,7 @@ def preset_thm2_realizable(seed: int, trials: int | None = None, T: int | None =
         )
         # bandit-to-full-info mistake ratio on matched runs: an estimate only,
         # the ratio of optimal error rates involves an infimum over algorithms
-        full_mean, _ = _mean_stderr(_schedule_mistakes(make_learner("soa", fc, T), seqs, games))
+        full_mean, _ = _mean_stderr(_schedule_mistakes(make_learner("soa", fc, T), seqs))
         if full_mean > 0:
             rows.append(
                 ReportRow(
@@ -506,8 +526,7 @@ def preset_thm3_agnostic(seed: int, trials: int | None = None, T: int | None = N
 def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = None) -> Report:
     """Margin constructions: exact gaps and norms, Perceptron runs within
     2*D^2, and the block-bijection schedule forces its floor on a bandit
-    linear learner."""
-    trials = 2000 if trials is None else trials
+    linear learner, exactly, over every tape.  `trials` has no effect."""
     runs = 100  # Perceptron streams per construction
     stream_len = 60 if T is None else T
     rows = []
@@ -591,27 +610,17 @@ def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = Non
             )
         )
 
-    # lower-bound transfer: the block schedule on embedded points; point (j, m)
-    # is the m-th root of unity on coordinate j whatever the tape
+    # lower-bound transfer: the block schedule on embedded points, over every
+    # tape; point (j, m) is the m-th root of unity on coordinate j whatever the tape
     delta, k = 2, 3
     fc = catalog.permutation_class(delta, k)
-    floor = permutation_floor(delta, k)
     _, graph = linear.roots_of_unity_embedding([list(range(k))] * delta)
     points = {x: graph[x][0] for x in range(delta * k)}
     start = linear.EmbeddedLearner(linear.BanditPerceptron.zeros(k, 2 * delta), points)
-    seqs, games = _block_schedules(fc, delta, (
-        (draw_permutation_tape(delta, k, np.random.default_rng(child)), None)
-        for child in np.random.SeedSequence(seed).spawn(trials)
-    ))
-    counts = _schedule_mistakes(start, seqs, games)
-    mean, se = _mean_stderr(counts)
-    rows.append(
-        ReportRow(
-            f"bijections:{delta}x{k}", "bandit-perceptron",
-            "permutation-embedded", fc.n, trials, mean, se, floor, ">=",
-            _mc_pass(mean, se, floor, ">="),
-        )
-    )
+    tapes = _every_tape(fc.factors[0], delta)
+    law = Law.uniform_over(_schedule_mistakes(start, tapes.values()))
+    label = (f"bijections:{delta}x{k}", "bandit-perceptron", "permutation-embedded", fc.n)
+    rows += _law_rows(label, len(tapes), law, permutation_floor(delta, k), (">=",))
     return Report(
         "thm4-linear",
         seed,
@@ -623,7 +632,9 @@ def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = Non
 
 def preset_claim_guessing(seed: int, trials: int | None = None, T: int | None = None) -> Report:
     """Hidden-label guessing game: every strategy averages at least (k-1)/2
-    wrong guesses; the non-repeating strategy attains it exactly."""
+    wrong guesses; the non-repeating strategy attains it exactly.  Each row is
+    judged by the exact law of one game: a deterministic guesser's counts
+    over every hidden label, the random guesser's k-1 independent guesses."""
     trials = 100_000 if trials is None else trials
     rows = []
     ss = np.random.SeedSequence(seed)
@@ -633,21 +644,14 @@ def preset_claim_guessing(seed: int, trials: int | None = None, T: int | None = 
             # one draw per game, in game order, as `guessing_game` makes them
             hidden = np.random.default_rng(game_ss).integers(k, size=trials)
             guesser = make_guesser(strategy, k, np.random.default_rng(guess_ss))
-            mean, se = _mean_stderr(guesser.wrong_guesses(hidden))
-            bound = (k - 1) / 2
-            directions, slack = (">=",), 3.0 * se
-            if strategy == "nonrepeating":
-                # its count is exactly uniform on {0, ..., k-1}, so its mean
-                # sits on the bound: judge it by that law, not by the sample
-                directions, slack = (">=", "="), _uniform_count_slack(k, trials)
-            for direction in directions:
-                rows.append(
-                    ReportRow(
-                        f"k={k}", strategy, "guessing",
-                        k - 1, trials, mean, se, bound, direction,
-                        bound_holds(mean, bound, direction, slack),
-                    )
-                )
+            sample = _mean_stderr(guesser.wrong_guesses(hidden))
+            if strategy == "random":
+                law = Law.binomial(k - 1, Fraction(k - 1, k))
+            else:
+                law = Law.uniform_over(make_guesser(strategy, k).wrong_guesses(np.arange(k)))
+            directions = (">=", "=") if strategy == "nonrepeating" else (">=",)
+            label = (f"k={k}", strategy, "guessing", k - 1)
+            rows += _law_rows(label, trials, law, (k - 1) / 2, directions, sample)
     return Report(
         "claim-guessing",
         seed,
@@ -656,28 +660,20 @@ def preset_claim_guessing(seed: int, trials: int | None = None, T: int | None = 
     )
 
 
-def _permutation_zoo(delta: int, k: int) -> tuple[str, ...]:
-    # bsoa at delta=2 would be counted on perm:1x4's block runs, about 1.6 ms
-    # per 100-trial call, but stays out: adding it moves this preset's CSV.
-    zoo = ["capacity", "soa-bandit", "constant", "cycling", "random"]
-    if delta == 1:
-        zoo.insert(2, "bsoa")
-    return tuple(zoo)
+PERMUTATION_ZOO = ("capacity", "soa-bandit", "bsoa", "constant", "cycling", "random")
 
 
 def preset_claim_permutation(seed: int, trials: int | None = None, T: int | None = None) -> Report:
     """Block-bijection schedule: every bandit learner averages at least
-    delta*(k-1)*k/4 mistakes.  Trial i's (adversary, learner) seed pair is
-    spawned once per call and serves both (delta, k) schedules.  Every learner
-    plays the same trials, each a (tape, learner seed) pair drawn once.
+    delta*(k-1)*k/4 mistakes, and soa-bandit and bsoa attain it.
 
-    perm:deltaxk is the product of delta copies of one perm:1xk block object.
-    A `blockwise` learner plays each block as it would play the block alone,
-    so it is counted on that block: each distinct block row's run once, and
-    each distinct tape as the sum of its rows' counts.  Any other learner is
-    counted on each distinct tape's whole sequence, built once.  Both go
-    through `_schedule_mistakes`, and the whole-sequence route is the
-    blockwise one's test oracle."""
+    A deterministic learner's row is exact over the (k!)^delta equally likely
+    tapes, which `trials` then counts.  perm:deltaxk is the product of delta
+    copies of one perm:1xk block, which a `blockwise` learner plays as it
+    would play it alone: its law is that of its k! block runs, summed over
+    the delta independent blocks.  The random learner plays `trials` games,
+    trial i's (tape, learner) seed pair spawned once per call for both
+    schedules, and is judged by its law, Binomial(horizon, (k-1)/k)."""
     trials = 10_000 if trials is None else trials
     rows = []
     streams = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(trials)]
@@ -686,28 +682,27 @@ def preset_claim_permutation(seed: int, trials: int | None = None, T: int | None
         block = fc.factors[0] if delta > 1 else fc
         horizon = delta * k * (k - 1) // 2
         floor = permutation_floor(delta, k)
-        draws = [
-            (draw_permutation_tape(delta, k, np.random.default_rng(adv_ss)), lrn_ss)
-            for adv_ss, lrn_ss in streams
-        ]
-        seqs, games = _block_schedules(fc, delta, draws)
-        runs, tapes = _block_runs(block, draws)
-        for lname in _permutation_zoo(delta, k):
+        runs, tapes = _every_tape(block, 1).values(), _every_tape(block, delta)
+        for lname in PERMUTATION_ZOO:
+            label = (fc.name, lname, f"permutation:{delta}", horizon)
+            if lname == "random":
+                start, rng = make_learner(lname, fc, horizon), np.random.default_rng
+                counts = [
+                    start.run_mistakes(tapes[draw_permutation_tape(delta, k, rng(a))], rng(b))
+                    for a, b in streams
+                ]
+                law = Law.binomial(horizon, Fraction(k - 1, k))
+                rows += _law_rows(label, trials, law, floor, (">=",), _mean_stderr(counts))
+                continue
             if learner_class(lname).blockwise:
-                start = make_learner(lname, block, horizon // delta)
-                per_run = _schedule_mistakes(start, runs, [(r, None) for r in range(len(runs))])
-                per_tape = [sum(per_run[r] for r in tape) for tape in tapes]
-                counts = [per_tape[i] for i, _ in games]
+                counts = _schedule_mistakes(make_learner(lname, block, horizon // delta), runs)
+                law = Law.uniform_over(counts).summed(delta)
             else:
-                counts = _schedule_mistakes(make_learner(lname, fc, horizon), seqs, games)
-            mean, se = _mean_stderr(counts)
-            rows.append(
-                ReportRow(
-                    fc.name, lname, f"permutation:{delta}",
-                    horizon, trials, mean, se, floor, ">=",
-                    _mc_pass(mean, se, floor, ">="),
-                )
-            )
+                counts = _schedule_mistakes(make_learner(lname, fc, horizon), tapes.values())
+                law = Law.uniform_over(counts)
+            # soa-bandit and bsoa sit exactly on the floor: the bound is tight
+            directions = (">=", "=") if lname in ("soa-bandit", "bsoa") else (">=",)
+            rows += _law_rows(label, len(tapes), law, floor, directions)
     return Report(
         "claim-permutation",
         seed,

@@ -159,8 +159,25 @@ def test_criterion_7_permutation_floor():
     t0 = time.time()
     report = run_experiment("claim-permutation", trials=10_000)
     for row in report.rows:
-        assert row.passed, (row.klass, row.learner)
-    _report(7, "all learners >= delta*(k-1)*k/4 over 1e4 trials on (1,3) and (2,4)", t0)
+        assert row.passed, (row.klass, row.learner, row.direction)
+    # every deterministic learner exactly, over all 3! and (4!)^2 tapes
+    exact = {(r.klass, r.learner, r.direction): r for r in report.rows if r.learner != "random"}
+    means = {
+        "perm:1x3": {"capacity": 5 / 3, "soa-bandit": 1.5, "bsoa": 1.5, "constant": 2.0, "cycling": 2.0},
+        "perm:2x4": {"capacity": 7.0, "soa-bandit": 6.0, "bsoa": 6.0, "constant": 9.0, "cycling": 9.0},
+    }
+    tapes = {"perm:1x3": 6, "perm:2x4": 576}
+    for klass, learners in means.items():
+        for lname, mean in learners.items():
+            directions = (">=", "=") if lname in ("soa-bandit", "bsoa") else (">=",)
+            for direction in directions:  # soa-bandit and bsoa attain the floor: it is tight
+                row = exact.pop((klass, lname, direction))
+                assert (row.trials, row.mean_mistakes, row.stderr) == (tapes[klass], mean, 0.0)
+    assert exact == {}
+    randomized = [r for r in report.rows if r.learner == "random"]
+    assert [(r.klass, r.trials) for r in randomized] == [("perm:1x3", 10_000), ("perm:2x4", 10_000)]
+    _report(7, "every learner >= delta*(k-1)*k/4, exactly over every tape on (1,3) and (2,4), "
+            "soa-bandit and bsoa = it; random over 1e4 trials", t0)
 
 
 def test_criterion_8_linear_constructions():

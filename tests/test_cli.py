@@ -105,6 +105,25 @@ def test_claim_guessing_does_not_fail_by_chance(capsys):
     assert "k=4,nonrepeating,guessing,3,50,2,2.02," in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "preset, seed",
+    [
+        ("claim-permutation", "313"),
+        ("claim-permutation", "527"),
+        ("claim-guessing", "129"),
+        ("claim-guessing", "151"),
+    ],
+)
+def test_rows_on_the_floor_do_not_fail_by_chance(preset, seed, capsys):
+    # judged by three sample standard errors these failed, each on a row
+    # whose exact mean is its floor: soa-bandit on perm:2x4 read 5.37 against
+    # 6 (seed 313), soa-bandit and bsoa on perm:1x3 1.24 against 3/2 (527),
+    # and the k=2 cycling and random guessers 0.33 and 0.34 against 1/2
+    # (129 and 151)
+    assert cli.main(["experiment", preset, "--seed", seed, "--trials", "100"]) == 0
+    assert "# overall: pass" in capsys.readouterr().err
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(banditlab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -271,8 +271,9 @@ def test_batched_perceptron_matches_the_scalar_runs(batch):
 
 
 def test_embedded_learner_declares_its_trait_on_the_class():
-    """The thm4-linear cache replays a tape's mistakes only for a learner whose
-    class says it is deterministic; its predictions must then ignore the rng."""
+    """thm4-linear counts each tape once along one game tree, which is right
+    only for a learner whose class says it is deterministic; its predictions
+    must then ignore the rng."""
     assert EmbeddedLearner.deterministic is True
     assert "deterministic" not in {f.name for f in fields(EmbeddedLearner)}  # a ClassVar
     rng = np.random.default_rng(0)
