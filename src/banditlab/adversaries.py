@@ -16,6 +16,7 @@ replays it.  Only MinimaxBanditAdversary reacts to the predictions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -227,6 +228,25 @@ def permutation_sequence(fc: FiniteClass, delta: int, tape) -> LabeledSequence:
         for m in range(k - 1):
             seq += (MultiLabelExample(j * k + m, frozenset((tape[j][m],))),) * (k - 1 - m)
     return seq
+
+
+def every_permutation_sequence(block: FiniteClass, delta: int) -> dict[tuple, LabeledSequence]:
+    """Every tape of the block schedule on the product of delta copies of
+    `block` (a perm:1xk class), in `itertools.product` order, with its
+    `permutation_sequence` on that product.  Each (j, row) segment, row's
+    run on `block` with its instances shifted by j*k, is built once, and a
+    tape's sequence joins its rows' segments."""
+    k = block.k
+    runs = {row: permutation_sequence(block, 1, (row,)) for row in itertools.permutations(range(k))}
+    segment = {
+        (j, row): tuple(MultiLabelExample(ex.x + j * k, ex.allowed) for ex in run)
+        for j in range(delta)
+        for row, run in runs.items()
+    }
+    return {
+        tape: sum((segment[j, row] for j, row in enumerate(tape)), ())
+        for tape in itertools.product(runs, repeat=delta)
+    }
 
 
 class PermutationAdversary(SequenceAdversary):

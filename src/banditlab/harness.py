@@ -27,6 +27,7 @@ import numpy as np
 from . import adversaries, catalog, linear
 from .adversaries import (
     draw_permutation_tape,
+    every_permutation_sequence,
     make_adversary,
     make_guesser,
     permutation_floor,
@@ -34,7 +35,7 @@ from .adversaries import (
     sample_realizable_sequence,
 )
 from .dimensions import bldim, ldim
-from .hypotheses import FiniteClass, LabeledSequence, MultiLabelExample, VersionSpace, read_class
+from .hypotheses import FiniteClass, LabeledSequence, VersionSpace, read_class
 from .learners import (
     BanditFeedback,
     FullInfoFeedback,
@@ -380,12 +381,21 @@ class Law:
         return (linear + math.sqrt(linear**2 + 8.0 * trials * var * log)) / (2.0 * trials)
 
 
+def _balanced(trials: int, draws: int) -> int:
+    """The fewest games, at least `trials`, that play each of `draws` equally
+    likely draws equally often: the game count of an exact row."""
+    return -(-trials // draws) * draws
+
+
 def _law_rows(label, trials, law, bound, directions, sample=None) -> list[ReportRow]:
     """One row per direction for the game (class, learner, adversary, T) of
     `label`, whose one-game law is `law`.  Without a sample the row is exact:
-    it holds the law's mean over all `trials` equally likely draws, stderr 0,
-    and is judged by exact comparison.  A sample is the (mean, stderr) of
-    `trials` games, judged within the law's tolerance."""
+    its `trials` games play each of the law's equally likely draws equally
+    often (`_balanced`), never fewer than were asked for, so a reader taking
+    `trials` for a sample size judges it no more loosely than a sampled row.
+    It holds the law's mean, stderr 0, and is judged by exact comparison.  A
+    sample is the (mean, stderr) of `trials` games, judged within the law's
+    tolerance."""
     mean, se = (law.mean, 0.0) if sample is None else sample
     tol = 0 if sample is None else law.tolerance(trials)
     return [
@@ -397,27 +407,6 @@ def _law_rows(label, trials, law, bound, directions, sample=None) -> list[Report
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
-
-
-def _every_tape(block: FiniteClass, delta: int) -> dict[tuple, LabeledSequence]:
-    """Every tape of the block schedule on the product of delta copies of
-    `block` (a perm:1xk class), in `itertools.product` order, with its
-    sequence.  Row j of a tape plays that row's run on `block`, its instances
-    shifted by j*k: each (j, row) segment is built once, and a tape's
-    sequence joins its rows' segments, so it equals the product's
-    `permutation_sequence`."""
-    k = block.k
-    rows = list(itertools.permutations(range(k)))
-    runs = [permutation_sequence(block, 1, (row,)) for row in rows]
-    segment = {
-        (j, row): tuple(MultiLabelExample(ex.x + j * k, ex.allowed) for ex in run)
-        for j in range(delta)
-        for row, run in zip(rows, runs)
-    }
-    return {
-        tape: sum((segment[j, row] for j, row in enumerate(tape)), ())
-        for tape in itertools.product(rows, repeat=delta)
-    }
 
 
 def _schedule_mistakes(start, seqs) -> list[int]:
@@ -526,7 +515,9 @@ def preset_thm3_agnostic(seed: int, trials: int | None = None, T: int | None = N
 def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = None) -> Report:
     """Margin constructions: exact gaps and norms, Perceptron runs within
     2*D^2, and the block-bijection schedule forces its floor on a bandit
-    linear learner, exactly, over every tape.  `trials` has no effect."""
+    linear learner, exactly, over every tape: the embedded row plays each of
+    the 36 tapes equally often in at least `trials` games."""
+    trials = 2000 if trials is None else trials
     runs = 100  # Perceptron streams per construction
     stream_len = 60 if T is None else T
     rows = []
@@ -617,10 +608,10 @@ def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = Non
     _, graph = linear.roots_of_unity_embedding([list(range(k))] * delta)
     points = {x: graph[x][0] for x in range(delta * k)}
     start = linear.EmbeddedLearner(linear.BanditPerceptron.zeros(k, 2 * delta), points)
-    tapes = _every_tape(fc.factors[0], delta)
+    tapes = every_permutation_sequence(fc.factors[0], delta)
     law = Law.uniform_over(_schedule_mistakes(start, tapes.values()))
     label = (f"bijections:{delta}x{k}", "bandit-perceptron", "permutation-embedded", fc.n)
-    rows += _law_rows(label, len(tapes), law, permutation_floor(delta, k), (">=",))
+    rows += _law_rows(label, _balanced(trials, len(tapes)), law, permutation_floor(delta, k), (">=",))
     return Report(
         "thm4-linear",
         seed,
@@ -668,7 +659,7 @@ def preset_claim_permutation(seed: int, trials: int | None = None, T: int | None
     delta*(k-1)*k/4 mistakes, and soa-bandit and bsoa attain it.
 
     A deterministic learner's row is exact over the (k!)^delta equally likely
-    tapes, which `trials` then counts.  perm:deltaxk is the product of delta
+    tapes, each played equally often in at least `trials` games.  perm:deltaxk is the product of delta
     copies of one perm:1xk block, which a `blockwise` learner plays as it
     would play it alone: its law is that of its k! block runs, summed over
     the delta independent blocks.  The random learner plays `trials` games,
@@ -682,7 +673,8 @@ def preset_claim_permutation(seed: int, trials: int | None = None, T: int | None
         block = fc.factors[0] if delta > 1 else fc
         horizon = delta * k * (k - 1) // 2
         floor = permutation_floor(delta, k)
-        runs, tapes = _every_tape(block, 1).values(), _every_tape(block, delta)
+        tapes = every_permutation_sequence(block, delta)
+        runs = [permutation_sequence(block, 1, (row,)) for row in itertools.permutations(range(k))]
         for lname in PERMUTATION_ZOO:
             label = (fc.name, lname, f"permutation:{delta}", horizon)
             if lname == "random":
@@ -702,7 +694,7 @@ def preset_claim_permutation(seed: int, trials: int | None = None, T: int | None
                 law = Law.uniform_over(counts)
             # soa-bandit and bsoa sit exactly on the floor: the bound is tight
             directions = (">=", "=") if lname in ("soa-bandit", "bsoa") else (">=",)
-            rows += _law_rows(label, len(tapes), law, floor, directions)
+            rows += _law_rows(label, _balanced(trials, len(tapes)), law, floor, directions)
     return Report(
         "claim-permutation",
         seed,

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -21,9 +22,9 @@ from banditlab import (
     play,
     sample_realizable_sequence,
 )
-from banditlab.adversaries import GUESSER_NAMES, permutation_floor
+from banditlab.adversaries import GUESSER_NAMES, every_permutation_sequence, permutation_floor
 from corpus_util import enumerated_spaces, random_spaces
-from banditlab.catalog import subclass
+from banditlab.catalog import parse_spec, subclass
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +178,16 @@ def test_permutation_shape_mismatch_raises():
 def test_permutation_floor_values():
     assert permutation_floor(1, 3) == 1.5
     assert permutation_floor(2, 4) == 6.0
+
+
+@pytest.mark.parametrize("spec", ["perm:1x3", "perm:2x3", "perm:2x4"])
+def test_every_permutation_sequence_joins_its_block_segments_into_each_schedule(spec):
+    fc = parse_spec(spec)
+    delta, k = fc.n // fc.k, fc.k
+    tapes = every_permutation_sequence(fc.factors[0] if delta > 1 else fc, delta)
+    assert list(tapes) == list(itertools.product(itertools.permutations(range(k)), repeat=delta))
+    for tape, seq in tapes.items():
+        assert seq == permutation_sequence(fc, delta, tape), tape
 
 
 # ---------------------------------------------------------------------------
