@@ -659,12 +659,13 @@ def preset_claim_permutation(seed: int, trials: int | None = None, T: int | None
     delta*(k-1)*k/4 mistakes, and soa-bandit and bsoa attain it.
 
     A deterministic learner's row is exact over the (k!)^delta equally likely
-    tapes, each played equally often in at least `trials` games.  perm:deltaxk is the product of delta
-    copies of one perm:1xk block, which a `blockwise` learner plays as it
-    would play it alone: its law is that of its k! block runs, summed over
-    the delta independent blocks.  The random learner plays `trials` games,
-    trial i's (tape, learner) seed pair spawned once per call for both
-    schedules, and is judged by its law, Binomial(horizon, (k-1)/k)."""
+    tapes, each played equally often in at least `trials` games.
+    perm:deltaxk is the product of delta copies of one perm:1xk block, which
+    a `blockwise` learner plays as it would play it alone: its law is that of
+    its k! block runs, summed over the delta independent blocks.  The random
+    learner plays `trials` games, trial i's (tape, learner) seed pair spawned
+    once per call for both schedules, and is judged by its law,
+    Binomial(horizon, (k-1)/k)."""
     trials = 10_000 if trials is None else trials
     rows = []
     streams = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(trials)]
