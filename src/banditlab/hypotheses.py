@@ -61,9 +61,9 @@ class FiniteClass:
 
     Duplicate rows are dropped at construction (first occurrence kept): they
     change no dimension, error count, or learner behaviour.  Instances are
-    immutable by convention; per-class dimension and shattering memos hang off
-    the object so memoization stays scoped to one class.  A product's factors
-    (see `product_class`) are objects of that product alone.
+    immutable by convention; per-class dimension, shattering and SOA-label
+    memos hang off the object so memoization stays scoped to one class.  A
+    product's factors (see `product_class`) are objects of that product alone.
     """
 
     def __init__(self, name: str, n: int, k: int, rows: Iterable[Sequence[int]]):
@@ -105,6 +105,7 @@ class FiniteClass:
         self.ldim_cache: dict[int, int] = {}
         self.bldim_cache: dict[int, int] = {}
         self.shatter_cache: dict[tuple, object] = {}
+        self.label_cache: dict[tuple[int, int], int] = {}  # SOA label by (mask, x)
         # (outer, inner) when this class is their product (see product_class)
         self.factors: tuple[FiniteClass, FiniteClass] | None = None
 

@@ -19,7 +19,8 @@ The baseline predictors also count a whole fixed run at once, with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -59,12 +60,17 @@ def soa_prediction(space: VersionSpace, x: int) -> int:
 
 
 def _soa_label_mask(fc: FiniteClass, mask: int, x: int) -> int:
-    best_y, best_d = 0, -2
-    for y in range(fc.k):
-        d = _ldim_mask(fc, mask & fc.eq_mask(x, y))
-        if d > best_d:
-            best_y, best_d = y, d
-    return best_y
+    """The SOA label of the space `mask` at x, memoized in `fc.label_cache`."""
+    key = (mask, x)
+    label = fc.label_cache.get(key)
+    if label is None:
+        best_y, best_d = 0, -2
+        for y in range(fc.k):
+            d = _ldim_mask(fc, mask & fc.eq_mask(x, y))
+            if d > best_d:
+                best_y, best_d = y, d
+        label = fc.label_cache[key] = best_y
+    return label
 
 
 @dataclass(frozen=True)
@@ -477,6 +483,9 @@ class Exp4Learner:
     experts that share it, r being the rounds left.  Weights are rescaled so
     that the experts' total weight is 1.  Not blockwise: its play is random,
     and its weights and exploration rate span the whole class and horizon.
+
+    A state computes its shares once and its play distribution at each x
+    once, so `update` reuses the distribution `predict` drew from.
     """
 
     kind: ClassVar[str] = "bandit"
@@ -490,6 +499,7 @@ class Exp4Learner:
     weights: dict[tuple[int, int], float]
     t: int = 0
     mistakes: int = 0
+    _distributions: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def for_class(cls, fc: FiniteClass, T: int) -> "Exp4Learner":
@@ -497,6 +507,7 @@ class Exp4Learner:
         weights = {(fc.full_mask, 0): 1.0 / expert_count(T, fc.k, L)}
         return cls(fc, T, L, exp4_gamma(T, fc.k, L), weights)
 
+    @cached_property
     def _shares(self) -> list[int]:
         """Experts per past with j deviations used, by j (0 past L): each
         past's continuations over the rounds after this one."""
@@ -508,7 +519,7 @@ class Exp4Learner:
     def advice_weights(self, x: int) -> np.ndarray:
         """Total weight of the experts advising each label on x this round:
         a past's followers advise its SOA label, its deviators every label."""
-        shares = self._shares()
+        shares = self._shares
         by_label = np.zeros(self.fc.k)
         deviating = 0.0
         for (mask, j), w in self.weights.items():
@@ -517,10 +528,16 @@ class Exp4Learner:
         return by_label + deviating
 
     def distribution(self, x: int) -> np.ndarray:
-        """Play distribution: weight-averaged advice mixed with gamma of uniform."""
-        by_label = self.advice_weights(x)
-        p = (1.0 - self.gamma) * by_label / by_label.sum() + self.gamma / self.fc.k
-        return p / p.sum()
+        """Play distribution: weight-averaged advice mixed with gamma of uniform.
+        Read-only, since every call at x returns the same array."""
+        p = self._distributions.get(x)
+        if p is None:
+            by_label = self.advice_weights(x)
+            p = (1.0 - self.gamma) * by_label / by_label.sum() + self.gamma / self.fc.k
+            p = p / p.sum()
+            p.flags.writeable = False
+            self._distributions[x] = p
+        return p
 
     def predict(self, x: int, rng) -> int:
         return int(rng.choice(self.fc.k, p=self.distribution(x)))
@@ -536,8 +553,10 @@ class Exp4Learner:
         for (mask, j), w in self.weights.items():
             for y, state in _moves(self.fc, self.L, mask, j, x):
                 weights[state] = weights.get(state, 0.0) + (w * boost if y == prediction else w)
-        shares = self._shares()
-        total = sum(w * shares[j] for (_, j), w in weights.items())
+        shares = self._shares
+        total = 0.0  # summed left to right, as `sum` does before Python 3.12
+        for (_, j), w in weights.items():
+            total += w * shares[j]
         weights = {state: w / total for state, w in weights.items()}
         return replace(
             self, weights=weights, t=self.t + 1, mistakes=self.mistakes + (not feedback.correct)

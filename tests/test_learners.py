@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from banditlab import (
     sample_realizable_sequence,
     soa_prediction,
 )
+from banditlab import learners
+from banditlab.dimensions import _ldim_mask
 from banditlab.harness import GameConfig
 from banditlab.learners import (
     LEARNER_NAMES,
@@ -401,6 +404,98 @@ def test_exp4_refuses_rounds_past_its_horizon():
     learner = Exp4Learner.for_class(fc, 1).update(0, 0, BanditFeedback(True))
     with pytest.raises(ValueError):
         learner.predict(0, np.random.default_rng(0))
+
+
+def uncached_soa_label(fc, mask, x):
+    """The SOA label loop without the class's label cache: the oracle for it."""
+    best_y, best_d = 0, -2
+    for y in range(fc.k):
+        d = _ldim_mask(fc, mask & fc.eq_mask(x, y))
+        if d > best_d:
+            best_y, best_d = y, d
+    return best_y
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: full_class(2, 3),
+        lambda: full_class(3, 3),
+        lambda: FiniteClass("rand:4x3", 4, 3, np.random.default_rng(19).integers(3, size=(20, 4))),
+    ],
+    ids=["full:2x3", "full:3x3", "rand:4x3"],
+)
+def test_label_cache_holds_the_uncached_labels(make):
+    fc = make()
+    (transcript,) = run_game(GameConfig(fc, "exp4", "noise:1", T=40, trials=1, seed=8))
+    seq = transcript.justification
+    xs = [ex.x for ex in seq]
+    best_expert_loss(fc, seq)
+    for row in fc.table[:: max(1, fc.size // 6)]:
+        labels = [row[x] for x in xs]
+        assert imitating_expert(fc, xs, labels).advice_sequence(fc, xs) == labels
+    assert len(fc.label_cache) >= fc.n
+    for (mask, x), y in fc.label_cache.items():
+        assert y == uncached_soa_label(fc, mask, x)
+    assert make().label_cache == {}
+
+
+def test_exp4_builds_each_distribution_and_each_label_once(monkeypatch):
+    fc = full_class(2, 3)
+    builds, computed, lookups = [], [], []
+    advice_weights, soa_label = Exp4Learner.advice_weights, learners._soa_label_mask
+
+    def counted_advice(self, x):
+        builds.append(x)
+        return advice_weights(self, x)
+
+    def counted_ldim(fc, mask):
+        computed.append(mask)
+        return _ldim_mask(fc, mask)
+
+    def counted_label(fc, mask, x):
+        lookups.append((mask, x))
+        return soa_label(fc, mask, x)
+
+    monkeypatch.setattr(Exp4Learner, "advice_weights", counted_advice)
+    monkeypatch.setattr(learners, "_ldim_mask", counted_ldim)
+    monkeypatch.setattr(learners, "_soa_label_mask", counted_label)
+    learner = Exp4Learner.for_class(fc, 50)
+    assert learner.gamma > 0.0
+    pred = learner.predict(1, np.random.default_rng(3))
+    learner.update(1, pred, BanditFeedback(True))  # the boost reads predict's distribution
+    assert builds == [1]
+
+    fc = full_class(2, 3)
+    computed.clear()
+    lookups.clear()
+    run_game(GameConfig(fc, "exp4", "noise:1", T=50, trials=1, seed=4))
+    assert set(lookups) == set(fc.label_cache)
+    assert len(computed) == fc.k * len(fc.label_cache) < fc.k * len(lookups)
+
+
+def test_exp4_distribution_is_shared_and_read_only():
+    learner = Exp4Learner.for_class(full_class(1, 3), 20)
+    p = learner.distribution(0)
+    assert learner.distribution(0) is p
+    with pytest.raises(ValueError):
+        p[0] = 1.0
+
+
+def test_exp4_normalizes_by_the_sum_taken_left_to_right():
+    # pasts with no deviation left keep one continuation each, so the
+    # normalizer is the sum of their weights; math.fsum rounds these terms
+    # up, where the sum taken left to right (and `sum` before Python 3.12)
+    # does not
+    learner = Exp4Learner.for_class(full_class(2, 2), 5)
+    terms = [1.0, 1e-16, 1e-16]
+    ordered = 0.0
+    for w in terms:
+        ordered += w
+    assert math.fsum(terms) != ordered
+    weights = {(1 << h, learner.L): w for h, w in enumerate(terms)}  # singletons stay put
+    nxt = replace(learner, weights=weights).update(0, 0, BanditFeedback(False))
+    assert nxt.weights == {state: w / ordered for state, w in weights.items()}
 
 
 def test_make_learner_registry():
