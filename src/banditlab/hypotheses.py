@@ -106,6 +106,7 @@ class FiniteClass:
         self.bldim_cache: dict[int, int] = {}
         self.shatter_cache: dict[tuple, object] = {}
         self.label_cache: dict[tuple[int, int], int] = {}  # SOA label by (mask, x)
+        self.move_cache: dict[tuple[int, int, int], tuple] = {}  # Exp4 moves by (mask, j, x)
         # (outer, inner) when this class is their product (see product_class)
         self.factors: tuple[FiniteClass, FiniteClass] | None = None
 

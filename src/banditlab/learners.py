@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -31,6 +30,7 @@ from .hypotheses import (
     LabeledSequence,
     RealizabilityViolation,
     VersionSpace,
+    _check_sequence,
     is_decimal,
 )
 
@@ -448,19 +448,24 @@ class Expert:
 # one per expert.
 
 
-def _moves(fc: FiniteClass, L: int, mask: int, j: int, x: int):
+def _moves(fc: FiniteClass, L: int, mask: int, j: int, x: int) -> tuple:
     """(advised label, next state) for every way a state's experts play x:
-    the SOA label first, then each forced label while deviations remain."""
-    soa = _soa_label_mask(fc, mask, x)
-    yield soa, (mask & fc.eq_mask(x, soa), j)
-    if j < L:
-        for y in range(fc.k):
-            yield y, (mask & fc.eq_mask(x, y), j + 1)
+    the SOA label first, then each forced label while deviations remain.
+    Memoized in `fc.move_cache` by (mask, j, x), L being the class's ldim."""
+    key = (mask, j, x)
+    moves = fc.move_cache.get(key)
+    if moves is None:
+        eqs = fc.eq_masks(x)
+        soa = _soa_label_mask(fc, mask, x)
+        forced = [(y, (mask & eq, j + 1)) for y, eq in enumerate(eqs)] if j < L else []
+        moves = fc.move_cache[key] = ((soa, (mask & eqs[soa], j)), *forced)
+    return moves
 
 
 def best_expert_loss(fc: FiniteClass, seq) -> int:
     """Fewest misses of any deviation expert on seq: the fewest misses of any
     past leading to each state, extended round by round."""
+    _check_sequence(fc, seq)
     L = ldim(fc.full_space())
     best = {(fc.full_mask, 0): 0}
     for ex in seq:
@@ -484,7 +489,8 @@ class Exp4Learner:
     that the experts' total weight is 1.  Not blockwise: its play is random,
     and its weights and exploration rate span the whole class and horizon.
 
-    A state computes its shares once and its play distribution at each x
+    `for_class` computes every round's shares once, and the states of one
+    game share that table.  A state computes its play distribution at each x
     once, so `update` reuses the distribution `predict` drew from.
     """
 
@@ -497,6 +503,7 @@ class Exp4Learner:
     L: int
     gamma: float
     weights: dict[tuple[int, int], float]
+    shares_by_round: tuple[tuple[int, ...], ...] = field(repr=False)
     t: int = 0
     mistakes: int = 0
     _distributions: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
@@ -505,16 +512,18 @@ class Exp4Learner:
     def for_class(cls, fc: FiniteClass, T: int) -> "Exp4Learner":
         L = ldim(fc.full_space())
         weights = {(fc.full_mask, 0): 1.0 / expert_count(T, fc.k, L)}
-        return cls(fc, T, L, exp4_gamma(T, fc.k, L), weights)
+        shares = tuple(
+            tuple(_continuations(T - t - 1, fc.k, L - j) for j in range(L + 2)) for t in range(T)
+        )
+        return cls(fc, T, L, exp4_gamma(T, fc.k, L), weights, shares)
 
-    @cached_property
-    def _shares(self) -> list[int]:
+    @property
+    def _shares(self) -> tuple[int, ...]:
         """Experts per past with j deviations used, by j (0 past L): each
         past's continuations over the rounds after this one."""
         if self.t >= self.T:
             raise ValueError(f"exp4 was set up for {self.T} rounds")
-        r = self.T - self.t - 1
-        return [_continuations(r, self.fc.k, self.L - j) for j in range(self.L + 2)]
+        return self.shares_by_round[self.t]
 
     def advice_weights(self, x: int) -> np.ndarray:
         """Total weight of the experts advising each label on x this round:

@@ -4,7 +4,9 @@ Every expert (at most ldim(H) deviation rounds, each with a forced label) is
 replayed on its own with `Expert.advice_sequence`, and exponential weights run
 per expert in numpy.  This is the slow route the learners' dynamic program is
 checked against; keep it to small horizons.  `imitating_expert` names the
-expert that replays a given labeling.
+expert that replays a given labeling.  `uncached_soa_label` and
+`uncached_moves` compute a state's SOA label and moves without the class's
+caches: the oracles for `label_cache` and `move_cache`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from itertools import combinations, product
 import numpy as np
 
 from banditlab import Expert, ldim, soa_prediction
+from banditlab.dimensions import _ldim_mask
 
 
 def enumerate_experts(fc, T: int) -> list[Expert]:
@@ -26,6 +29,26 @@ def enumerate_experts(fc, T: int) -> list[Expert]:
         for rounds in combinations(range(T), j)
         for labels in product(range(fc.k), repeat=j)
     ]
+
+
+def uncached_soa_label(fc, mask: int, x: int) -> int:
+    """The SOA label loop without the class's label cache."""
+    best_y, best_d = 0, -2
+    for y in range(fc.k):
+        d = _ldim_mask(fc, mask & fc.eq_mask(x, y))
+        if d > best_d:
+            best_y, best_d = y, d
+    return best_y
+
+
+def uncached_moves(fc, L: int, mask: int, j: int, x: int):
+    """(advised label, next state) for every way a state's experts play x:
+    the SOA label first, then each forced label while deviations remain."""
+    soa = uncached_soa_label(fc, mask, x)
+    yield soa, (mask & fc.eq_mask(x, soa), j)
+    if j < L:
+        for y in range(fc.k):
+            yield y, (mask & fc.eq_mask(x, y), j + 1)
 
 
 def imitating_expert(fc, xs, labels) -> Expert:

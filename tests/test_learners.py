@@ -37,7 +37,13 @@ from banditlab.learners import (
 )
 from capacity_oracle import bandit_potential
 from corpus_util import named_corpus
-from exp4_oracle import enumerate_experts, imitating_expert, play_oracle
+from exp4_oracle import (
+    enumerate_experts,
+    imitating_expert,
+    play_oracle,
+    uncached_moves,
+    uncached_soa_label,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +405,24 @@ def test_exp4_update_is_pure():
     assert nxt.t == 1
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [([(0, {7})], r"label 7 outside \[0, 3\)"), ([(5, {1})], r"instance 5 outside \[0, 1\)")],
+    ids=["label", "instance"],
+)
+def test_best_expert_loss_checks_its_sequence_as_class_error_does(pairs, message):
+    fc = full_class(1, 3)
+    seq = make_sequence(pairs)
+    for call in (best_expert_loss, lambda fc, seq: fc.full_space().class_error(seq)):
+        with pytest.raises(ValueError, match=message):
+            call(fc, seq)
+
+
 def test_exp4_refuses_rounds_past_its_horizon():
     fc = full_class(1, 2)
     learner = Exp4Learner.for_class(fc, 1).update(0, 0, BanditFeedback(True))
     with pytest.raises(ValueError):
         learner.predict(0, np.random.default_rng(0))
-
-
-def uncached_soa_label(fc, mask, x):
-    """The SOA label loop without the class's label cache: the oracle for it."""
-    best_y, best_d = 0, -2
-    for y in range(fc.k):
-        d = _ldim_mask(fc, mask & fc.eq_mask(x, y))
-        if d > best_d:
-            best_y, best_d = y, d
-    return best_y
 
 
 @pytest.mark.parametrize(
@@ -437,7 +446,12 @@ def test_label_cache_holds_the_uncached_labels(make):
     assert len(fc.label_cache) >= fc.n
     for (mask, x), y in fc.label_cache.items():
         assert y == uncached_soa_label(fc, mask, x)
-    assert make().label_cache == {}
+    L = ldim(fc.full_space())
+    assert len(fc.move_cache) >= fc.n
+    for (mask, j, x), moves in fc.move_cache.items():
+        assert moves == tuple(uncached_moves(fc, L, mask, j, x))
+    fresh = make()
+    assert fresh.label_cache == {} and fresh.move_cache == {}
 
 
 def test_exp4_builds_each_distribution_and_each_label_once(monkeypatch):
@@ -467,11 +481,65 @@ def test_exp4_builds_each_distribution_and_each_label_once(monkeypatch):
     assert builds == [1]
 
     fc = full_class(2, 3)
+    fc.move_cache = moves = CountedDict()
     computed.clear()
     lookups.clear()
     run_game(GameConfig(fc, "exp4", "noise:1", T=50, trials=1, seed=4))
     assert set(lookups) == set(fc.label_cache)
     assert len(computed) == fc.k * len(fc.label_cache) < fc.k * len(lookups)
+    assert len(moves.writes) == len(set(moves.writes)) == len(moves) < moves.reads
+
+
+class CountedDict(dict):
+    """A dict that counts its `get` calls and records the keys written."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads, self.writes = 0, []
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        self.writes.append(key)
+        super().__setitem__(key, value)
+
+
+def test_exp4_caches_only_the_moves_of_the_states_it_visits():
+    # ldim 6: 173,117 (mask, j) states are reachable over every instance
+    # order, and a table of all of them takes seconds to build; the game
+    # weights 34,198 states over its rounds and caches 9,655 moves
+    fc = FiniteClass("rand:12x3", 12, 3, np.random.default_rng(29).integers(3, size=(200, 12)))
+    assert fc.size == 200
+    rng = np.random.default_rng(4)
+    target = fc.table[int(rng.integers(fc.size))]
+    learner = Exp4Learner.for_class(fc, 50)
+    visited = 0
+    for _ in range(50):
+        x = int(rng.integers(fc.n))
+        visited += len(learner.weights)
+        pred = learner.predict(x, rng)
+        learner = learner.update(x, pred, BanditFeedback(pred == target[x]))
+    assert 0 < len(fc.move_cache) <= visited
+
+
+@pytest.mark.parametrize("T", [1, 5, 200])
+@pytest.mark.parametrize("n", [1, 2], ids=["full:1x3", "full:2x3"])
+def test_exp4_reads_each_rounds_shares_from_one_table(n, T):
+    fc = full_class(n, 3)
+    learner = Exp4Learner.for_class(fc, T)
+    L, table = learner.L, learner.shares_by_round
+    rng = np.random.default_rng(T)
+    for t in range(T):
+        assert learner.t == t and learner.shares_by_round is table
+        expected = [learners._continuations(T - t - 1, fc.k, L - j) for j in range(L + 2)]
+        assert list(learner._shares) == expected
+        x = int(rng.integers(fc.n))
+        pred = learner.predict(x, rng)
+        learner = learner.update(x, pred, BanditFeedback(bool(rng.integers(2))))
+    with pytest.raises(ValueError, match=f"set up for {T} rounds"):
+        learner._shares
 
 
 def test_exp4_distribution_is_shared_and_read_only():
