@@ -67,11 +67,10 @@ class SequenceAdversary:
 # the hidden-label guessing game
 # ---------------------------------------------------------------------------
 #
-# Besides the round-by-round protocol (next_guess/observe), which
-# `guessing_game` plays and which stays the reference, every guesser has
-# `wrong_guesses(hidden)`: the wrong-guess counts of whole games played from
-# its starting state, one per entry of an integer array of hidden labels,
-# computed over the array.
+# Every guesser plays the round-by-round protocol (next_guess/observe) through
+# `_guessing_mistakes`, the one guessing loop.  The random guesser also has
+# `wrong_guesses(hidden)`: the wrong-guess counts of whole games, one per entry
+# of an integer array of hidden labels, computed over the array.
 
 
 class NonRepeatingGuesser:
@@ -93,11 +92,6 @@ class NonRepeatingGuesser:
         elif guess == self._next:
             self._next += 1
 
-    def wrong_guesses(self, hidden: np.ndarray) -> np.ndarray:
-        """Misses on 0..h-1, then hits h; a hidden k-1 is never guessed and
-        costs all k-1 guesses."""
-        return np.minimum(hidden, self.k - 1)
-
 
 class ConstantGuesser:
     def __init__(self, k: int, rng=None, label: int = 0):
@@ -109,9 +103,6 @@ class ConstantGuesser:
 
     def observe(self, guess: int, correct: bool) -> None:
         pass
-
-    def wrong_guesses(self, hidden: np.ndarray) -> np.ndarray:
-        return (self.k - 1) * (hidden != self.label)
 
 
 class CyclingGuesser:
@@ -126,10 +117,6 @@ class CyclingGuesser:
 
     def observe(self, guess: int, correct: bool) -> None:
         self.t += 1
-
-    def wrong_guesses(self, hidden: np.ndarray) -> np.ndarray:
-        """Guesses 0..k-2 from a fresh start: misses all but a hidden label below k-1."""
-        return self.k - 1 - (hidden < self.k - 1)
 
 
 class RandomGuesser:
@@ -173,7 +160,11 @@ def guessing_game(k: int, guesser, rng) -> int:
     """
     if k < 2:
         raise ValueError("the guessing game needs k >= 2")
-    hidden = int(rng.integers(k))
+    return _guessing_mistakes(k, guesser, int(rng.integers(k)))
+
+
+def _guessing_mistakes(k: int, guesser, hidden: int) -> int:
+    """The wrong guesses of the k-1 rounds guesser plays against hidden."""
     mistakes = 0
     for _ in range(k - 1):
         guess = guesser.next_guess()

@@ -9,12 +9,14 @@ against the minimax adversary, which reacts to predictions, as against any
 other.  A preset whose games are fixed sequences counts each whole run with a
 `run_mistakes(seq, rng)` instead (see `_schedule_mistakes`), and `play` is the
 reference those are tested against.  A block-schedule tape is one of (k!)^delta
-equally likely, so a deterministic learner's row there is exact: the `Law` of
-its counts over every tape (see `preset_claim_permutation`).
+equally likely, and a hidden label one of k, so a deterministic learner's or
+guesser's row there is exact: the `Law` of its counts over every tape or label
+(see `preset_claim_permutation` and `preset_claim_guessing`).
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -26,6 +28,7 @@ import numpy as np
 
 from . import adversaries, catalog, linear
 from .adversaries import (
+    _guessing_mistakes,
     draw_permutation_tape,
     every_permutation_sequence,
     make_adversary,
@@ -418,13 +421,11 @@ def _schedule_mistakes(start, seqs) -> list[int]:
     return list(map(getattr(start, "run_mistakes", None) or _Replayed(start).run_mistakes, seqs))
 
 
-def preset_thm2_realizable(seed: int, trials: int | None = None, T: int | None = None) -> Report:
+def preset_thm2_realizable(seed: int, trials: int = 50, T: int = 24) -> Report:
     """Capacity learner on realizable single-label bandit runs: every run stays
     strictly below 4*k*ln(k)*ldim(H).  Each trial's run is drawn once per class,
     as run_game's random-realizable:1 adversary would draw it, checked
     realizable, and counted for both `capacity` and `soa`."""
-    trials = 50 if trials is None else trials
-    T = 24 if T is None else T
     rows = []
     adv_streams = [child.spawn(2)[0] for child in np.random.SeedSequence(seed).spawn(trials)]
     for spec in ("full:1x2", "full:1x3", "full:2x2", "full:2x3", "perm:1x3"):
@@ -467,12 +468,10 @@ def preset_thm2_realizable(seed: int, trials: int | None = None, T: int | None =
     )
 
 
-def preset_thm3_agnostic(seed: int, trials: int | None = None, T: int | None = None) -> Report:
+def preset_thm3_agnostic(seed: int, trials: int = 50, T: int = 200) -> Report:
     """Deviation experts + exponential-weights pipeline: mean regret within
     e*sqrt(k*T*ldim(H)*ln(T*k)), and the best expert never loses to the best
     hypothesis."""
-    trials = 50 if trials is None else trials
-    T = 200 if T is None else T
     rows = []
     ss = np.random.SeedSequence(seed)
     for spec in ("full:1x3", "full:2x3"):
@@ -512,14 +511,12 @@ def preset_thm3_agnostic(seed: int, trials: int | None = None, T: int | None = N
     )
 
 
-def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = None) -> Report:
-    """Margin constructions: exact gaps and norms, Perceptron runs within
-    2*D^2, and the block-bijection schedule forces its floor on a bandit
-    linear learner, exactly, over every tape: the embedded row plays each of
-    the 36 tapes equally often in at least `trials` games."""
-    trials = 2000 if trials is None else trials
+def preset_thm4_linear(seed: int, trials: int = 2000, T: int = 60) -> Report:
+    """Margin constructions: exact gaps and norms, Perceptron runs of T
+    points within 2*D^2, and the block-bijection schedule forces its floor on
+    a bandit linear learner, exactly, over every tape: the embedded row plays
+    each of the 36 tapes equally often in at least `trials` games."""
     runs = 100  # Perceptron streams per construction
-    stream_len = 60 if T is None else T
     rows = []
     notes = []
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -559,13 +556,13 @@ def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = Non
             )
         # Perceptron against streams realized by the normalized construction
         d_sq = norm_sq / min_gap**2
-        idx = np.array([rng.integers(len(graph), size=stream_len) for _ in range(runs)])
+        idx = np.array([rng.integers(len(graph), size=T) for _ in range(runs)])
         points = np.array([x for x, _ in graph])
         labels = np.array([y for _, y in graph])
         worst = int(linear.perceptron_mistakes(points[idx], labels[idx], k)[0].max())
         rows.append(
             ReportRow(
-                name, "perceptron", "stream", stream_len,
+                name, "perceptron", "stream", T,
                 runs, worst, 0.0, 2.0 * d_sq, "<=",
                 worst <= 2.0 * d_sq,
             )
@@ -590,13 +587,13 @@ def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = Non
             )
         )
         # run r labels basis point i by g_r[i], as the standard-basis embedding of g_r does
-        draws = [(rng.integers(k, size=L), rng.integers(L, size=stream_len)) for _ in range(runs)]
+        draws = [(rng.integers(k, size=L), rng.integers(L, size=T)) for _ in range(runs)]
         idx = np.array([i for _, i in draws])
         labels = np.array([g[i] for g, i in draws])
         worst = int(linear.perceptron_mistakes(np.eye(L)[idx], labels, k)[0].max())
         rows.append(
             ReportRow(
-                name, "perceptron", "stream", stream_len,
+                name, "perceptron", "stream", T,
                 runs, worst, 0.0, 2.0 * L, "<=", worst <= 2.0 * L,
             )
         )
@@ -621,28 +618,34 @@ def preset_thm4_linear(seed: int, trials: int | None = None, T: int | None = Non
     )
 
 
-def preset_claim_guessing(seed: int, trials: int | None = None, T: int | None = None) -> Report:
+def preset_claim_guessing(seed: int, trials: int = 100_000) -> Report:
     """Hidden-label guessing game: every strategy averages at least (k-1)/2
-    wrong guesses; the non-repeating strategy attains it exactly.  Each row is
-    judged by the exact law of one game: a deterministic guesser's counts
-    over every hidden label, the random guesser's k-1 independent guesses."""
-    trials = 100_000 if trials is None else trials
+    wrong guesses; the non-repeating strategy attains it exactly.  A
+    deterministic guesser's row is exact: the law of its count over the k
+    equally likely hidden labels, each played equally often in at least
+    `trials` games.  The random guesser plays `trials` games, its hidden
+    labels and guesses drawn from one pair of streams spawned per k, and is
+    judged by its law, Binomial(k-1, (k-1)/k)."""
     rows = []
     ss = np.random.SeedSequence(seed)
     for k in range(2, 9):
+        floor = Fraction(k - 1, 2)
         for strategy in adversaries.GUESSER_NAMES:
-            game_ss, guess_ss = ss.spawn(2)
-            # one draw per game, in game order, as `guessing_game` makes them
-            hidden = np.random.default_rng(game_ss).integers(k, size=trials)
-            guesser = make_guesser(strategy, k, np.random.default_rng(guess_ss))
-            sample = _mean_stderr(guesser.wrong_guesses(hidden))
-            if strategy == "random":
-                law = Law.binomial(k - 1, Fraction(k - 1, k))
-            else:
-                law = Law.uniform_over(make_guesser(strategy, k).wrong_guesses(np.arange(k)))
-            directions = (">=", "=") if strategy == "nonrepeating" else (">=",)
             label = (f"k={k}", strategy, "guessing", k - 1)
-            rows += _law_rows(label, trials, law, (k - 1) / 2, directions, sample)
+            if strategy == "random":
+                game_ss, guess_ss = ss.spawn(2)
+                # one draw per game, in game order, as `guessing_game` makes them
+                hidden = np.random.default_rng(game_ss).integers(k, size=trials)
+                guesser = make_guesser(strategy, k, np.random.default_rng(guess_ss))
+                law = Law.binomial(k - 1, Fraction(k - 1, k))
+                sample = _mean_stderr(guesser.wrong_guesses(hidden))
+                rows += _law_rows(label, trials, law, floor, (">=",), sample)
+                continue
+            law = Law.uniform_over(
+                _guessing_mistakes(k, make_guesser(strategy, k), h) for h in range(k)
+            )
+            directions = (">=", "=") if strategy == "nonrepeating" else (">=",)
+            rows += _law_rows(label, _balanced(trials, k), law, floor, directions)
     return Report(
         "claim-guessing",
         seed,
@@ -654,7 +657,7 @@ def preset_claim_guessing(seed: int, trials: int | None = None, T: int | None = 
 PERMUTATION_ZOO = ("capacity", "soa-bandit", "bsoa", "constant", "cycling", "random")
 
 
-def preset_claim_permutation(seed: int, trials: int | None = None, T: int | None = None) -> Report:
+def preset_claim_permutation(seed: int, trials: int = 10_000) -> Report:
     """Block-bijection schedule: every bandit learner averages at least
     delta*(k-1)*k/4 mistakes, and soa-bandit and bsoa attain it.
 
@@ -666,7 +669,6 @@ def preset_claim_permutation(seed: int, trials: int | None = None, T: int | None
     learner plays `trials` games, trial i's (tape, learner) seed pair spawned
     once per call for both schedules, and is judged by its law,
     Binomial(horizon, (k-1)/k)."""
-    trials = 10_000 if trials is None else trials
     rows = []
     streams = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(trials)]
     for delta, k in ((1, 3), (2, 4)):
@@ -704,7 +706,7 @@ def preset_claim_permutation(seed: int, trials: int | None = None, T: int | None
     )
 
 
-def preset_dim_ratio(seed: int, trials: int | None = None, T: int | None = None) -> Report:
+def preset_dim_ratio(seed: int) -> Report:
     """Dimension ratio sweep: bldim <= 4*k*ln(k)*ldim on every subclass, with
     the full class attaining ldim = n and bldim = (k-1)*n."""
     rows = []
@@ -757,12 +759,16 @@ PRESETS = {
 def run_experiment(
     preset: str, seed: int | None = None, trials: int | None = None, T: int | None = None
 ) -> Report:
-    """Run a preset; trials and T left as None take the preset's defaults."""
+    """Run a preset; trials and T left as None take the preset's defaults,
+    and a preset that takes no such size refuses one."""
     try:
         fn = PRESETS[preset]
     except KeyError:
         raise ValueError(f"unknown preset {preset!r}; known: {', '.join(sorted(PRESETS))}")
-    for name, value in (("trials", trials), ("T", T)):
-        if value is not None and (type(value) is not int or value <= 0):
+    sizes = {name: value for name, value in (("trials", trials), ("T", T)) if value is not None}
+    for name, value in sizes.items():
+        if type(value) is not int or value <= 0:
             raise ValueError(f"{name} must be a positive int, got {value!r}")
-    return fn(seed if seed is not None else PRESET_SEED, trials=trials, T=T)
+        if name not in inspect.signature(fn).parameters:
+            raise ValueError(f"preset {preset!r} takes no {name}, got {name}={value}")
+    return fn(seed if seed is not None else PRESET_SEED, **sizes)

@@ -19,7 +19,7 @@ The baseline predictors also count a whole fixed run at once, with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -567,8 +567,9 @@ class Exp4Learner:
         for (_, j), w in weights.items():
             total += w * shares[j]
         weights = {state: w / total for state, w in weights.items()}
-        return replace(
-            self, weights=weights, t=self.t + 1, mistakes=self.mistakes + (not feedback.correct)
+        return Exp4Learner(
+            self.fc, self.T, self.L, self.gamma, weights, self.shares_by_round,
+            self.t + 1, self.mistakes + (not feedback.correct),
         )
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import banditlab
-from banditlab import cli, harness
+from banditlab import cli, harness, run_experiment
 
 
 PLAY = [
@@ -99,10 +99,28 @@ def test_a_zero_padded_set_size_keeps_the_single_label_ceiling(capsys):
 
 def test_claim_guessing_does_not_fail_by_chance(capsys):
     # at three sample standard errors the k=4 non-repeating "=" row failed
-    # here, reading 2.02 against 1.5, though the guesser's mean is exactly 1.5
+    # here, reading 2.02 over 50 sampled games against 1.5, though the
+    # guesser's mean is exactly 1.5; the row is now that exact mean, over 13
+    # games per hidden label
     argv = ["experiment", "claim-guessing", "--seed", "2", "--trials", "50"]
     assert cli.main(argv) == 0
-    assert "k=4,nonrepeating,guessing,3,50,2,2.02," in capsys.readouterr().out
+    assert "k=4,nonrepeating,guessing,3,52,2,1.5,0.0,1.5,=,true" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "preset, option",
+    [
+        ("claim-guessing", "T"),
+        ("claim-permutation", "T"),
+        ("dim-ratio", "T"),
+        ("dim-ratio", "trials"),
+    ],
+)
+def test_presets_refuse_a_size_they_do_not_take(preset, option, capsys):
+    with pytest.raises(ValueError, match=f"preset '{preset}' takes no {option}, got {option}=3"):
+        run_experiment(preset, seed=1, **{option: 3})
+    assert cli.main(["experiment", preset, f"--{option}", "3"]) == 2
+    assert f"banditlab: error: preset '{preset}' takes no {option}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
