@@ -22,7 +22,12 @@ from banditlab import (
     play,
     sample_realizable_sequence,
 )
-from banditlab.adversaries import GUESSER_NAMES, every_permutation_sequence, permutation_floor
+from banditlab.adversaries import (
+    GUESSER_NAMES,
+    _guessing_mistakes,
+    every_permutation_sequence,
+    permutation_floor,
+)
 from corpus_util import enumerated_spaces, random_spaces
 from banditlab.catalog import parse_spec, subclass
 
@@ -32,19 +37,20 @@ from banditlab.catalog import parse_spec, subclass
 # ---------------------------------------------------------------------------
 
 
+def enumerated_mistakes(k, strategy, hidden):
+    """Oracle: the deterministic game against one hidden label, written out."""
+    guesser, mistakes = make_guesser(strategy, k), 0
+    for _ in range(k - 1):
+        guess = guesser.next_guess()
+        correct = guess == hidden
+        mistakes += not correct
+        guesser.observe(guess, correct)
+    return mistakes
+
+
 def exact_expected_mistakes(k, strategy):
     """Enumeration oracle: average the deterministic game over all hidden labels."""
-    total = 0
-    for hidden in range(k):
-        guesser = make_guesser(strategy, k)
-        mistakes = 0
-        for _ in range(k - 1):
-            guess = guesser.next_guess()
-            correct = guess == hidden
-            mistakes += not correct
-            guesser.observe(guess, correct)
-        total += mistakes
-    return Fraction(total, k)
+    return Fraction(sum(enumerated_mistakes(k, strategy, h) for h in range(k)), k)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -86,30 +92,44 @@ class _HiddenLabel:
         return self.label
 
 
-# only the random guesser counts whole games over an array of hidden labels;
-# a deterministic guesser's games are played through the one guessing loop
+# The counts a claim-guessing row is built from, one per hidden label in an
+# integer array: the random guesser counts whole games over the array, and a
+# deterministic guesser's count for each label comes from the one guessing
+# loop, played once per label and looked up.  Either way they must be the
+# counts of the scalar game.
+
+
+def array_wrong_guesses(strategy, k, hidden, guess_rng=None):
+    if strategy == "random":
+        return make_guesser(strategy, k, guess_rng).wrong_guesses(hidden).tolist()
+    per_label = np.array([_guessing_mistakes(k, make_guesser(strategy, k), h) for h in range(k)])
+    return per_label[hidden].tolist()
 
 
 @pytest.mark.parametrize("k", range(2, 9))
-def test_array_guessing_matches_the_scalar_game_on_every_hidden_label(k):
+@pytest.mark.parametrize("strategy", GUESSER_NAMES)
+def test_array_guessing_matches_the_scalar_game_on_every_hidden_label(k, strategy):
     guess_rng = np.random.default_rng(100 + k)
     scalar = [
-        guessing_game(k, make_guesser("random", k, guess_rng), _HiddenLabel(h)) for h in range(k)
+        guessing_game(k, make_guesser(strategy, k, guess_rng), _HiddenLabel(h)) for h in range(k)
     ]
-    guesser = make_guesser("random", k, np.random.default_rng(100 + k))
-    assert guesser.wrong_guesses(np.arange(k)).tolist() == scalar
+    counts = array_wrong_guesses(strategy, k, np.arange(k), np.random.default_rng(100 + k))
+    assert counts == scalar
+    if strategy != "random":
+        assert counts == [enumerated_mistakes(k, strategy, h) for h in range(k)]
 
 
 @pytest.mark.parametrize("k", range(2, 9))
-def test_array_guessing_matches_the_scalar_game_on_equal_streams(k):
+@pytest.mark.parametrize("strategy", GUESSER_NAMES)
+def test_array_guessing_matches_the_scalar_game_on_equal_streams(k, strategy):
     trials = 300
     game_rng, guess_rng = np.random.default_rng(k), np.random.default_rng(100 + k)
     scalar = [
-        guessing_game(k, make_guesser("random", k, guess_rng), game_rng) for _ in range(trials)
+        guessing_game(k, make_guesser(strategy, k, guess_rng), game_rng) for _ in range(trials)
     ]
     hidden = np.random.default_rng(k).integers(k, size=trials)
-    guesser = make_guesser("random", k, np.random.default_rng(100 + k))
-    assert guesser.wrong_guesses(hidden).tolist() == scalar
+    guess_rng = np.random.default_rng(100 + k)
+    assert array_wrong_guesses(strategy, k, hidden, guess_rng) == scalar
 
 
 def test_only_the_random_guesser_counts_over_arrays():
