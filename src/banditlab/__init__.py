@@ -18,7 +18,7 @@ from .adversaries import (
     sample_noise_sequence,
     sample_realizable_sequence,
 )
-from .catalog import constants_class, full_class, parse_spec, permutation_class, random_class
+from .catalog import constants_class, full_class, parse_spec, permutation_class
 from .dimensions import (
     ClassCollection,
     bldim,

@@ -22,8 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .catalog import full_class
 from .dimensions import bldim
 from .hypotheses import FiniteClass, LabeledSequence, MultiLabelExample, is_decimal
+from .learners import BanditFeedback, make_learner
 
 
 @dataclass(frozen=True)
@@ -67,89 +69,36 @@ class SequenceAdversary:
 # the hidden-label guessing game
 # ---------------------------------------------------------------------------
 #
-# Every guesser plays the round-by-round protocol (next_guess/observe) through
-# `_guessing_mistakes`, the one guessing loop.  The random guesser also has
-# `wrong_guesses(hidden)`: the wrong-guess counts of whole games, one per entry
-# of an integer array of hidden labels, computed over the array.
+# The guessing game is the bandit game on full:1xk: k-1 rounds of instance 0
+# under one hidden label.  Each strategy is the learner that plays it there.
+
+GUESSER_LEARNERS = {
+    "nonrepeating": "soa-bandit",
+    "constant": "constant",
+    "cycling": "cycling",
+    "random": "random",
+}
+GUESSER_NAMES = tuple(GUESSER_LEARNERS)
 
 
-class NonRepeatingGuesser:
-    """Guesses 0,1,2,... in order, then repeats the hidden label once found."""
+class _Guesser:
+    """A learner on full:1xk behind the round-by-round guessing protocol,
+    next_guess()/observe(guess, correct), which bench/workloads.py calls."""
 
-    def __init__(self, k: int, rng=None):
-        self.k = k
-        self._next = 0
-        self._hit: int | None = None
-
-    def next_guess(self) -> int:
-        if self._hit is not None:
-            return self._hit
-        return self._next
-
-    def observe(self, guess: int, correct: bool) -> None:
-        if correct:
-            self._hit = guess
-        elif guess == self._next:
-            self._next += 1
-
-
-class ConstantGuesser:
-    def __init__(self, k: int, rng=None, label: int = 0):
-        self.k = k
-        self.label = label
+    def __init__(self, learner, rng):
+        self.learner, self.rng = learner, rng
 
     def next_guess(self) -> int:
-        return self.label
+        return self.learner.predict(0, self.rng)
 
     def observe(self, guess: int, correct: bool) -> None:
-        pass
+        self.learner = self.learner.update(0, guess, BanditFeedback(correct))
 
 
-class CyclingGuesser:
-    """Walks the labels in order regardless of feedback."""
-
-    def __init__(self, k: int, rng=None):
-        self.k = k
-        self.t = 0
-
-    def next_guess(self) -> int:
-        return self.t % self.k
-
-    def observe(self, guess: int, correct: bool) -> None:
-        self.t += 1
-
-
-class RandomGuesser:
-    def __init__(self, k: int, rng=None):
-        self.k = k
-        self.rng = rng
-
-    def next_guess(self) -> int:
-        return int(self.rng.integers(self.k))
-
-    def observe(self, guess: int, correct: bool) -> None:
-        pass
-
-    def wrong_guesses(self, hidden: np.ndarray) -> np.ndarray:
-        """Draws each game's k-1 guesses in the order next_guess would."""
-        guesses = self.rng.integers(self.k, size=(len(hidden), self.k - 1))
-        return (guesses != hidden[:, None]).sum(axis=1)
-
-
-GUESSER_NAMES = ("nonrepeating", "constant", "cycling", "random")
-
-
-def make_guesser(name: str, k: int, rng=None):
-    table = {
-        "nonrepeating": NonRepeatingGuesser,
-        "constant": ConstantGuesser,
-        "cycling": CyclingGuesser,
-        "random": RandomGuesser,
-    }
-    try:
-        return table[name](k, rng)
-    except KeyError:
+def make_guesser(name: str, k: int, rng=None) -> _Guesser:
+    if name not in GUESSER_LEARNERS:
         raise ValueError(f"unknown guesser {name!r}; known: {', '.join(GUESSER_NAMES)}")
+    return _Guesser(make_learner(GUESSER_LEARNERS[name], full_class(1, k), k - 1), rng)
 
 
 def guessing_game(k: int, guesser, rng) -> int:
@@ -160,18 +109,17 @@ def guessing_game(k: int, guesser, rng) -> int:
     """
     if k < 2:
         raise ValueError("the guessing game needs k >= 2")
-    return _guessing_mistakes(k, guesser, int(rng.integers(k)))
-
-
-def _guessing_mistakes(k: int, guesser, hidden: int) -> int:
-    """The wrong guesses of the k-1 rounds guesser plays against hidden."""
-    mistakes = 0
+    hidden, mistakes = int(rng.integers(k)), 0
     for _ in range(k - 1):
         guess = guesser.next_guess()
-        correct = guess == hidden
-        mistakes += not correct
-        guesser.observe(guess, correct)
+        mistakes += guess != hidden
+        guesser.observe(guess, guess == hidden)
     return mistakes
+
+
+def guessing_run(hidden: int, T: int) -> LabeledSequence:
+    """Instance 0, T times, with the one allowed label `hidden`."""
+    return (MultiLabelExample(0, frozenset((hidden,))),) * T
 
 
 def guessing_sequence(fc: FiniteClass, T: int, rng) -> LabeledSequence:
@@ -183,8 +131,7 @@ def guessing_sequence(fc: FiniteClass, T: int, rng) -> LabeledSequence:
                 f"class {fc.name!r} realizes no hypothesis with h(0)={y}; "
                 "the guessing game needs every label available at instance 0"
             )
-    hidden = int(rng.integers(fc.k))
-    return (MultiLabelExample(0, frozenset((hidden,))),) * T
+    return guessing_run(int(rng.integers(fc.k)), T)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-import numpy as np
-
 from .hypotheses import FiniteClass, is_decimal, product_class
 
 
@@ -40,15 +38,6 @@ def permutation_class(delta: int, k: int) -> FiniteClass:
     if delta < 1:
         raise ValueError("delta must be >= 1")
     return _power(FiniteClass(f"perm:1x{k}", k, k, permutations(range(k))), delta, "perm")
-
-
-def random_class(rng: np.random.Generator, max_n: int = 3, max_k: int = 3, name: str | None = None) -> FiniteClass:
-    """A uniformly drawn table with random shape (duplicates collapse at load)."""
-    n = int(rng.integers(1, max_n + 1))
-    k = int(rng.integers(2, max_k + 1))
-    size = int(rng.integers(1, k**n + 1))
-    rows = rng.integers(0, k, size=(size, n))
-    return FiniteClass(name or f"rand:{n}x{k}", n, k, rows.tolist())
 
 
 def subclass(cls: FiniteClass, mask: int) -> FiniteClass:

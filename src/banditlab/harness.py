@@ -9,9 +9,9 @@ against the minimax adversary, which reacts to predictions, as against any
 other.  A preset whose games are fixed sequences counts each whole run with a
 `run_mistakes(seq, rng)` instead (see `_schedule_mistakes`), and `play` is the
 reference those are tested against.  A block-schedule tape is one of (k!)^delta
-equally likely, and a hidden label one of k, so a deterministic learner's or
-guesser's row there is exact: the `Law` of its counts over every tape or label
-(see `preset_claim_permutation` and `preset_claim_guessing`).
+equally likely, and a hidden label one of k, so a deterministic learner's row
+there is exact: the `Law` of its counts over every tape or label (see
+`preset_claim_permutation` and `preset_claim_guessing`).
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import adversaries, catalog, linear
+from . import catalog, linear
 from .adversaries import (
-    _guessing_mistakes,
+    GUESSER_LEARNERS,
     draw_permutation_tape,
     every_permutation_sequence,
+    guessing_run,
     make_adversary,
-    make_guesser,
     permutation_floor,
     permutation_sequence,
     sample_realizable_sequence,
@@ -620,9 +620,10 @@ def preset_thm4_linear(seed: int, trials: int = 2000, T: int = 60) -> Report:
 
 def preset_claim_guessing(seed: int, trials: int = 100_000) -> Report:
     """Hidden-label guessing game: every strategy averages at least (k-1)/2
-    wrong guesses; the non-repeating strategy attains it exactly.  A
-    deterministic guesser's row is exact: the law of its count over the k
-    equally likely hidden labels, each played equally often in at least
+    wrong guesses; the non-repeating strategy attains it exactly.  Each
+    strategy is its learner on full:1xk (`adversaries.GUESSER_LEARNERS`).  A
+    deterministic one's row is exact: the law of its counts on the k equally
+    likely hidden labels' runs, each played equally often in at least
     `trials` games.  The random guesser plays `trials` games, its hidden
     labels and guesses drawn from one pair of streams spawned per k, and is
     judged by its law, Binomial(k-1, (k-1)/k)."""
@@ -630,20 +631,20 @@ def preset_claim_guessing(seed: int, trials: int = 100_000) -> Report:
     ss = np.random.SeedSequence(seed)
     for k in range(2, 9):
         floor = Fraction(k - 1, 2)
-        for strategy in adversaries.GUESSER_NAMES:
+        fc = catalog.full_class(1, k)
+        runs = [guessing_run(h, k - 1) for h in range(k)]
+        for strategy, lname in GUESSER_LEARNERS.items():
             label = (f"k={k}", strategy, "guessing", k - 1)
             if strategy == "random":
-                game_ss, guess_ss = ss.spawn(2)
-                # one draw per game, in game order, as `guessing_game` makes them
-                hidden = np.random.default_rng(game_ss).integers(k, size=trials)
-                guesser = make_guesser(strategy, k, np.random.default_rng(guess_ss))
+                game_rng, guess_rng = map(np.random.default_rng, ss.spawn(2))
+                # one draw per game, then each game's k-1 guesses, as `guessing_game` makes them
+                hidden = game_rng.integers(k, size=trials)
+                guesses = guess_rng.integers(k, size=(trials, k - 1))
                 law = Law.binomial(k - 1, Fraction(k - 1, k))
-                sample = _mean_stderr(guesser.wrong_guesses(hidden))
+                sample = _mean_stderr((guesses != hidden[:, None]).sum(axis=1))
                 rows += _law_rows(label, trials, law, floor, (">=",), sample)
                 continue
-            law = Law.uniform_over(
-                _guessing_mistakes(k, make_guesser(strategy, k), h) for h in range(k)
-            )
+            law = Law.uniform_over(_schedule_mistakes(make_learner(lname, fc, k - 1), runs))
             directions = (">=", "=") if strategy == "nonrepeating" else (">=",)
             rows += _law_rows(label, _balanced(trials, k), law, floor, directions)
     return Report(

@@ -150,9 +150,6 @@ class FiniteClass:
     def full_space(self) -> "VersionSpace":
         return VersionSpace(self, self.full_mask)
 
-    def empty_space(self) -> "VersionSpace":
-        return VersionSpace(self, 0)
-
     def space(self, members: Iterable[int]) -> "VersionSpace":
         mask = 0
         for h in members:

@@ -4,9 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from banditlab import FiniteClass, VersionSpace, full_class, random_class
+from banditlab import FiniteClass, VersionSpace, full_class
 
 ENUMERATED_SHAPES = ((1, 2), (1, 3), (2, 2))
+
+
+def random_class(rng: np.random.Generator, max_n: int = 3, max_k: int = 3, name: str | None = None) -> FiniteClass:
+    """A uniformly drawn table with random shape (duplicates collapse at load)."""
+    n = int(rng.integers(1, max_n + 1))
+    k = int(rng.integers(2, max_k + 1))
+    size = int(rng.integers(1, k**n + 1))
+    rows = rng.integers(0, k, size=(size, n))
+    return FiniteClass(name or f"rand:{n}x{k}", n, k, rows.tolist())
+
+
+def empty_space(fc: FiniteClass) -> VersionSpace:
+    """The version space with no members."""
+    return VersionSpace(fc, 0)
 
 
 def enumerated_spaces() -> list[VersionSpace]:

@@ -20,16 +20,20 @@ from banditlab import (
     permutation_class,
     permutation_sequence,
     play,
+    run_experiment,
     sample_realizable_sequence,
 )
 from banditlab.adversaries import (
+    GUESSER_LEARNERS,
     GUESSER_NAMES,
-    _guessing_mistakes,
+    SequenceAdversary,
     every_permutation_sequence,
+    guessing_run,
     permutation_floor,
 )
 from corpus_util import enumerated_spaces, random_spaces
 from banditlab.catalog import parse_spec, subclass
+from banditlab.harness import _mean_stderr, _schedule_mistakes
 
 
 # ---------------------------------------------------------------------------
@@ -92,55 +96,61 @@ class _HiddenLabel:
         return self.label
 
 
-# The counts a claim-guessing row is built from, one per hidden label in an
-# integer array: the random guesser counts whole games over the array, and a
-# deterministic guesser's count for each label comes from the one guessing
-# loop, played once per label and looked up.  Either way they must be the
-# counts of the scalar game.
+# Each guessing strategy is its learner on full:1xk.  A deterministic one's
+# wrong guesses against hidden label h have a closed form, and each is checked
+# three ways: through the guesser protocol `make_guesser` serves, through
+# `_schedule_mistakes` on the fixed runs as claim-guessing counts them, and
+# through `play` against the replayed run.
+
+CLOSED_FORMS = {
+    "nonrepeating": lambda k, h: h,  # guesses 0, 1, ..., h
+    "constant": lambda k, h: (k - 1) * (h != 0),
+    "cycling": lambda k, h: k - 1 - (h < k - 1),  # guesses 0, ..., k-2 once each
+}
 
 
-def array_wrong_guesses(strategy, k, hidden, guess_rng=None):
-    if strategy == "random":
-        return make_guesser(strategy, k, guess_rng).wrong_guesses(hidden).tolist()
-    per_label = np.array([_guessing_mistakes(k, make_guesser(strategy, k), h) for h in range(k)])
-    return per_label[hidden].tolist()
+def counts_by_protocol(strategy, k):
+    return [guessing_game(k, make_guesser(strategy, k), _HiddenLabel(h)) for h in range(k)]
+
+
+def counts_by_schedule(strategy, k):
+    start = make_learner(GUESSER_LEARNERS[strategy], full_class(1, k), k - 1)
+    return _schedule_mistakes(start, [guessing_run(h, k - 1) for h in range(k)])
+
+
+def counts_by_play(strategy, k):
+    fc, lname = full_class(1, k), GUESSER_LEARNERS[strategy]
+    replays = [SequenceAdversary(guessing_run(h, k - 1), True) for h in range(k)]
+    return [play(make_learner(lname, fc, k - 1), adv, k - 1, None)[0].mistakes for adv in replays]
+
+
+@pytest.mark.parametrize("count", [counts_by_protocol, counts_by_schedule, counts_by_play])
+@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("strategy", sorted(CLOSED_FORMS))
+def test_every_deterministic_strategy_makes_its_closed_form_count(strategy, k, count):
+    assert count(strategy, k) == [CLOSED_FORMS[strategy](k, h) for h in range(k)]
 
 
 @pytest.mark.parametrize("k", range(2, 9))
-@pytest.mark.parametrize("strategy", GUESSER_NAMES)
-def test_array_guessing_matches_the_scalar_game_on_every_hidden_label(k, strategy):
-    guess_rng = np.random.default_rng(100 + k)
-    scalar = [
-        guessing_game(k, make_guesser(strategy, k, guess_rng), _HiddenLabel(h)) for h in range(k)
-    ]
-    counts = array_wrong_guesses(strategy, k, np.arange(k), np.random.default_rng(100 + k))
-    assert counts == scalar
-    if strategy != "random":
-        assert counts == [enumerated_mistakes(k, strategy, h) for h in range(k)]
-
-
-@pytest.mark.parametrize("k", range(2, 9))
-@pytest.mark.parametrize("strategy", GUESSER_NAMES)
-def test_array_guessing_matches_the_scalar_game_on_equal_streams(k, strategy):
-    trials = 300
-    game_rng, guess_rng = np.random.default_rng(k), np.random.default_rng(100 + k)
-    scalar = [
-        guessing_game(k, make_guesser(strategy, k, guess_rng), game_rng) for _ in range(trials)
-    ]
-    hidden = np.random.default_rng(k).integers(k, size=trials)
-    guess_rng = np.random.default_rng(100 + k)
-    assert array_wrong_guesses(strategy, k, hidden, guess_rng) == scalar
-
-
-def test_only_the_random_guesser_counts_over_arrays():
-    assert [name for name in GUESSER_NAMES if hasattr(make_guesser(name, 3), "wrong_guesses")] == [
-        "random"
-    ]
+def test_the_random_row_is_the_scalar_games_on_its_streams(k):
+    """claim-guessing draws the random guesser's games over arrays, from one
+    stream pair per k: the row must be the scalar games on those streams."""
+    trials, seed = 300, 5
+    ss = np.random.SeedSequence(seed)
+    game_ss, guess_ss = [ss.spawn(2) for _ in range(2, 9)][k - 2]
+    game_rng, guess_rng = np.random.default_rng(game_ss), np.random.default_rng(guess_ss)
+    scalar = [guessing_game(k, make_guesser("random", k, guess_rng), game_rng) for _ in range(trials)]
+    report = run_experiment("claim-guessing", seed=seed, trials=trials)
+    (row,) = [r for r in report.rows if r.klass == f"k={k}" and r.learner == "random"]
+    assert (row.mean_mistakes, row.stderr) == _mean_stderr(scalar)
 
 
 def test_guessing_game_rejects_tiny_k():
+    guesser = make_guesser("constant", 2)
     with pytest.raises(ValueError):
-        guessing_game(1, make_guesser("constant", 1), np.random.default_rng(0))
+        guessing_game(1, guesser, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        make_guesser("constant", 1)
 
 
 def test_guessing_adversary_requires_all_labels_at_zero():

@@ -9,6 +9,14 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from banditlab import guessing_game, make_guesser
+from banditlab.adversaries import GUESSER_NAMES
+from banditlab.learners import RandomLearner
+from test_adversaries import CLOSED_FORMS
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 PACKAGE = ROOT / "src" / "banditlab"
@@ -66,3 +74,25 @@ def test_every_exported_name_has_a_reader():
     readers += [path for path in sorted((ROOT / "tests").glob("*.py")) if path.name != "test_api.py"]
     readers += sorted(BENCH.glob("*.py"))
     assert sorted(exported - read_names(readers)) == []
+
+
+# The benchmark also calls a guesser's methods, which the name scan above
+# cannot see: it builds guessers as make_guesser(name, k, rng), and as
+# make_guesser(name, k) for the deterministic ones, and plays them through
+# guessing_game and through next_guess()/observe(guess, correct) by hand.
+
+
+@pytest.mark.parametrize(
+    "name, with_rng", [(name, True) for name in GUESSER_NAMES] + [(name, False) for name in CLOSED_FORMS]
+)
+def test_every_guesser_plays_the_protocol_the_benchmark_calls(name, with_rng):
+    for k in range(2, 9):
+        rng = np.random.default_rng(k)
+        wrong = guessing_game(k, make_guesser(name, k, rng if with_rng else None), rng)
+        twin = np.random.default_rng(k)  # the same stream: the hidden label, then the guesses
+        hidden = int(twin.integers(k))
+        if name == "random":
+            assert wrong == sum(RandomLearner(k).predict(0, twin) != hidden for _ in range(k - 1))
+        else:
+            assert wrong == CLOSED_FORMS[name](k, hidden)
+

@@ -20,7 +20,7 @@ from banditlab import (
     shatter_oracle,
     shatter_witness,
 )
-from corpus_util import enumerated_spaces, random_spaces
+from corpus_util import empty_space, enumerated_spaces, random_class, random_spaces
 from banditlab.hypotheses import product_class
 from dims_oracle import oracle_bldim, oracle_ldim
 
@@ -48,8 +48,8 @@ def test_singleton_dimensions():
 
 def test_empty_space_sentinel():
     fc = full_class(1, 2)
-    assert ldim(fc.empty_space()) == -1
-    assert bldim(fc.empty_space()) == -1
+    assert ldim(empty_space(fc)) == -1
+    assert bldim(empty_space(fc)) == -1
 
 
 def test_pinned_class_ldim_one():
@@ -321,7 +321,7 @@ def test_classes_outside_the_catalog_record_no_factors():
     assert load_class(dumps_class(fc)).factors is None
     assert catalog.subclass(fc, fc.full_mask).factors is None
     assert catalog.constants_class(3, 3).factors is None
-    assert catalog.random_class(np.random.default_rng(0)).factors is None
+    assert random_class(np.random.default_rng(0)).factors is None
 
 
 def _flat_full(n, k):
@@ -488,7 +488,7 @@ def test_capacity_of_singletons():
 def test_capacity_rejects_empty_members():
     fc = full_class(1, 2)
     with pytest.raises(ValueError):
-        capacity((fc.empty_space(),))
+        capacity((empty_space(fc),))
 
 
 def test_capacity_positive_and_exact():

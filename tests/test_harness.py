@@ -27,7 +27,6 @@ from banditlab import (
     sample_noise_sequence,
 )
 from banditlab.adversaries import (
-    NonRepeatingGuesser,
     SequenceAdversary,
     draw_permutation_tape,
     permutation_sequence,
@@ -772,13 +771,15 @@ def test_every_guesser_law_is_its_count_over_every_hidden_label(k):
 
 @pytest.mark.parametrize("shift", [1, -1])
 def test_a_nonrepeating_guesser_off_by_one_guess_on_one_label_fails(monkeypatch, shift):
-    exact = harness._guessing_mistakes
+    exact = harness._schedule_mistakes
 
-    def biased(k, guesser, hidden):  # a planted bias: one wrong guess more (or fewer) on label 1
-        planted = isinstance(guesser, NonRepeatingGuesser) and hidden == 1
-        return exact(k, guesser, hidden) + shift * planted
+    def biased(start, seqs):  # a planted bias: one wrong guess more (or fewer) on hidden label 1
+        counts = exact(start, seqs)
+        if isinstance(start, learners.SOABanditLearner):
+            counts[1] += shift
+        return counts
 
-    monkeypatch.setattr(harness, "_guessing_mistakes", biased)
+    monkeypatch.setattr(harness, "_schedule_mistakes", biased)
     report = run_experiment("claim-guessing", seed=7, trials=2000)
     rows = [r for r in report.rows if r.learner == "nonrepeating"]
     assert len(rows) == 14

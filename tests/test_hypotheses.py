@@ -17,6 +17,7 @@ from banditlab import (
     read_sequence,
     write_sequence,
 )
+from corpus_util import empty_space
 
 
 def class_doc(n, k, rows, name="t"):
@@ -208,7 +209,7 @@ def test_restrict_eq_can_empty():
 
 def test_empty_space_is_absorbing():
     fc = full_class(1, 2)
-    empty = fc.empty_space()
+    empty = empty_space(fc)
     assert empty.restrict_eq(0, 0).is_empty
     assert empty.restrict_ne(0, 0).is_empty
 
@@ -312,7 +313,7 @@ def test_class_error_exhaustive_minimum():
 def test_class_error_on_empty_space_raises():
     fc = full_class(1, 2)
     with pytest.raises(ValueError):
-        fc.empty_space().class_error(make_sequence([(0, {0})]))
+        empty_space(fc).class_error(make_sequence([(0, {0})]))
 
 
 def test_universe_mismatch_raises():
