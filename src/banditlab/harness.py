@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import catalog, linear
+from . import catalog, hypotheses, linear
 from .adversaries import (
     GUESSER_LEARNERS,
     draw_permutation_tape,
@@ -78,6 +78,13 @@ class GameTranscript:
     rounds: list[RoundRecord]
     mistakes: int
     justification: LabeledSequence
+
+
+def _positive_int(value: object, what: str) -> int:
+    """A game or trial count: `hypotheses._int_field`, refusing 0 and negatives too."""
+    if (out := hypotheses._int_field(value, what)) <= 0:
+        raise ValueError(f"{what} must be positive, got {out}")
+    return out
 
 
 def resolve_class(source: str | FiniteClass) -> FiniteClass:
@@ -171,18 +178,18 @@ def run_game(cfg: GameConfig) -> list[GameTranscript]:
     one `_Replayed` node, so the call walks one game tree and computes each
     (state, instance, feedback) step once; a randomized one plays every trial
     in full with its own generator."""
+    seed = hypotheses._nonnegative_field(cfg.seed, "seed")
+    T, trials = _positive_int(cfg.T, "T"), _positive_int(cfg.trials, "trials")
     fc = resolve_class(cfg.klass)
-    if cfg.T < 1 or cfg.trials < 1:
-        raise ValueError("T and trials must be >= 1")
-    start = make_learner(cfg.learner, fc, cfg.T)
+    start = make_learner(cfg.learner, fc, T)
     if start.deterministic:
         start = _Replayed(start)
     out = []
-    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.trials):
+    for child in np.random.SeedSequence(seed).spawn(trials):
         adv_ss, lrn_ss = child.spawn(2)
-        adversary = make_adversary(cfg.adversary, fc, cfg.T, np.random.default_rng(adv_ss))
+        adversary = make_adversary(cfg.adversary, fc, T, np.random.default_rng(adv_ss))
         rng = None if start.deterministic else np.random.default_rng(lrn_ss)
-        learner, rounds = play(start, adversary, cfg.T, rng)
+        learner, rounds = play(start, adversary, T, rng)
         mistakes = sum(not r.correct for r in rounds)
         if learner.mistakes != mistakes:
             raise AssertionError("learner mistake count diverged from the transcript")
@@ -341,16 +348,21 @@ def bound_holds(value, bound, direction: str, slack=0) -> bool:
     raise ValueError(f"bad direction {direction!r}")
 
 
-def _mc_pass(mean: float, stderr: float, bound: float, direction: str) -> bool:
-    """Monte Carlo acceptance: mean within 3 standard errors on the correct side."""
-    return bound_holds(mean, bound, direction, slack=3.0 * stderr)
+def _row(label, value, bound, direction, slack=0, stderr=0.0, judged=None) -> ReportRow:
+    """The one way a report row is made, for label (class, learner,
+    adversary, T, trials).  It shows `value` and is judged by `bound_holds`
+    on `judged`, or on `value` if none is given, within `slack`; an info row
+    is not judged."""
+    judged = value if judged is None else judged
+    passed = None if direction == "info" else bound_holds(judged, bound, direction, slack)
+    return ReportRow(*label, value, stderr, float(bound), direction, passed)
 
 
 @dataclass(frozen=True)
 class Law:
     """The exact law of one game's mistake count: its mean and variance, and
-    its least and largest count.  Every row of a game with a known law is
-    judged by it (`_law_rows`); only a row with no known law uses `_mc_pass`."""
+    its least and largest count.  `_row` makes and judges every row: a game
+    with a known law gives it its slack (`_law_rows`), any other a stated one."""
 
     mean: Fraction
     var: Fraction
@@ -401,10 +413,7 @@ def _law_rows(label, trials, law, bound, directions, sample=None) -> list[Report
     tolerance."""
     mean, se = (law.mean, 0.0) if sample is None else sample
     tol = 0 if sample is None else law.tolerance(trials)
-    return [
-        ReportRow(*label, trials, float(mean), se, float(bound), d, bound_holds(mean, bound, d, tol))
-        for d in directions
-    ]
+    return [_row((*label, trials), float(mean), bound, d, tol, se, mean) for d in directions]
 
 
 # ---------------------------------------------------------------------------
@@ -443,23 +452,14 @@ def preset_thm2_realizable(seed: int, trials: int = 50, T: int = 24) -> Report:
                 )
         counts = _schedule_mistakes(make_learner("capacity", fc, T), seqs)
         mean, se = _mean_stderr(counts)
-        rows.append(
-            ReportRow(
-                spec, "capacity", "random-realizable:1",
-                T, trials, mean, se, bound, "<", max(counts) < bound,
-            )
-        )
+        label = (spec, "capacity", "random-realizable:1", T, trials)
+        rows.append(_row(label, mean, bound, "<", stderr=se, judged=max(counts)))
         # bandit-to-full-info mistake ratio on matched runs: an estimate only,
         # the ratio of optimal error rates involves an infimum over algorithms
         full_mean, _ = _mean_stderr(_schedule_mistakes(make_learner("soa", fc, T), seqs))
         if full_mean > 0:
-            rows.append(
-                ReportRow(
-                    spec, "pob-estimate", "random-realizable:1",
-                    T, trials, mean / full_mean, 0.0,
-                    8.0 * k * math.log(k), "info", None,
-                )
-            )
+            label = (spec, "pob-estimate", "random-realizable:1", T, trials)
+            rows.append(_row(label, mean / full_mean, 8.0 * k * math.log(k), "info"))
     return Report(
         "thm2-realizable",
         seed,
@@ -491,18 +491,9 @@ def preset_thm3_agnostic(seed: int, trials: int = 50, T: int = 200) -> Report:
                 regrets.append(learner.mistakes - err)
                 excess.append(best_expert_loss(fc, seq) - err)
             mean, se = _mean_stderr(regrets)
-            rows.append(
-                ReportRow(
-                    spec, "exp4", aname,
-                    T, trials, mean, se, bound, "<=", _mc_pass(mean, se, bound, "<="),
-                )
-            )
-            rows.append(
-                ReportRow(
-                    spec, "best-expert", aname,
-                    T, trials, max(excess), 0.0, 0.0, "<=", max(excess) <= 0,
-                )
-            )
+            # no law is known for Exp4's regret: the mean is judged within 3 stderrs
+            rows.append(_row((spec, "exp4", aname, T, trials), mean, bound, "<=", 3.0 * se, se))
+            rows.append(_row((spec, "best-expert", aname, T, trials), max(excess), 0.0, "<="))
     return Report(
         "thm3-agnostic",
         seed,
@@ -526,33 +517,18 @@ def preset_thm4_linear(seed: int, trials: int = 2000, T: int = 60) -> Report:
         table = [list(rng.permutation(k)) for _ in range(delta)]
         w, graph = linear.roots_of_unity_embedding(table)
         _, min_gap = linear.check_margin_realization(w, graph)
-        gap_bound = linear.roots_of_unity_gap(k)
-        rows.append(
-            ReportRow(
-                name, "-", "min-gap", 0, 1,
-                min_gap, 0.0, gap_bound, "=", abs(min_gap - gap_bound) <= 1e-9,
-            )
-        )
-        norm_sq = linear.frobenius_norm(w) ** 2
-        rows.append(
-            ReportRow(
-                name, "-", "norm-sq", 0, 1,
-                norm_sq, 0.0, float(delta * k**5), "=",
-                abs(norm_sq - delta * k**5) <= 1e-9 * max(1.0, delta * k**5),
-            )
-        )
+        norm_sq, raw_sq = linear.frobenius_norm(w) ** 2, delta * k**5
         report = linear.embedding_norm_report(delta, k)
-        rows.append(
-            ReportRow(
-                name, "-", "threshold-k^3*d", 0, 1,
-                report["normalized_norm_sq"], 0.0, report["threshold_norm_sq"],
-                "info", None,
-            )
-        )
+        normalized, threshold = report["normalized_norm_sq"], report["threshold_norm_sq"]
+        rows += [
+            _row((name, "-", "min-gap", 0, 1), min_gap, linear.roots_of_unity_gap(k), "=", 1e-9),
+            _row((name, "-", "norm-sq", 0, 1), norm_sq, raw_sq, "=", 1e-9 * max(1.0, raw_sq)),
+            _row((name, "-", "threshold-k^3*d", 0, 1), normalized, threshold, "info"),
+        ]
         if not report["fits_threshold"]:
             notes.append(
-                f"{name}: normalized squared norm {report['normalized_norm_sq']:g} "
-                f"exceeds the quoted threshold k^3*d = {report['threshold_norm_sq']:g}"
+                f"{name}: normalized squared norm {normalized:g} "
+                f"exceeds the quoted threshold k^3*d = {threshold:g}"
             )
         # Perceptron against streams realized by the normalized construction
         d_sq = norm_sq / min_gap**2
@@ -560,43 +536,22 @@ def preset_thm4_linear(seed: int, trials: int = 2000, T: int = 60) -> Report:
         points = np.array([x for x, _ in graph])
         labels = np.array([y for _, y in graph])
         worst = int(linear.perceptron_mistakes(points[idx], labels[idx], k)[0].max())
-        rows.append(
-            ReportRow(
-                name, "perceptron", "stream", T,
-                runs, worst, 0.0, 2.0 * d_sq, "<=",
-                worst <= 2.0 * d_sq,
-            )
-        )
+        rows.append(_row((name, "perceptron", "stream", T, runs), worst, 2.0 * d_sq, "<="))
 
     for L, k in ((2, 2), (3, 3)):
         name = f"labelings:{L}x{k}"
         f = [int(v) for v in rng.integers(k, size=L)]
         w, graph = linear.standard_basis_embedding(f, k)
         _, min_gap = linear.check_margin_realization(w, graph)
-        rows.append(
-            ReportRow(
-                name, "-", "min-gap", 0, 1,
-                min_gap, 0.0, 1.0, "=", abs(min_gap - 1.0) <= 1e-9,
-            )
-        )
+        rows.append(_row((name, "-", "min-gap", 0, 1), min_gap, 1.0, "=", 1e-9))
         norm_sq = linear.frobenius_norm(w) ** 2
-        rows.append(
-            ReportRow(
-                name, "-", "norm-sq", 0, 1,
-                norm_sq, 0.0, float(L), "=", abs(norm_sq - L) <= 1e-9,
-            )
-        )
+        rows.append(_row((name, "-", "norm-sq", 0, 1), norm_sq, L, "=", 1e-9))
         # run r labels basis point i by g_r[i], as the standard-basis embedding of g_r does
         draws = [(rng.integers(k, size=L), rng.integers(L, size=T)) for _ in range(runs)]
         idx = np.array([i for _, i in draws])
         labels = np.array([g[i] for g, i in draws])
         worst = int(linear.perceptron_mistakes(np.eye(L)[idx], labels, k)[0].max())
-        rows.append(
-            ReportRow(
-                name, "perceptron", "stream", T,
-                runs, worst, 0.0, 2.0 * L, "<=", worst <= 2.0 * L,
-            )
-        )
+        rows.append(_row((name, "perceptron", "stream", T, runs), worst, 2.0 * L, "<="))
 
     # lower-bound transfer: the block schedule on embedded points, over every
     # tape; point (j, m) is the m-th root of unity on coordinate j whatever the tape
@@ -716,29 +671,13 @@ def preset_dim_ratio(seed: int) -> Report:
     for mask in range(1, fc.full_mask + 1):  # every nonempty subclass
         space = VersionSpace(fc, mask)
         l, bl = ldim(space), bldim(space)
-        rows.append(
-            ReportRow(
-                f"{fc.name}#{mask}", "-", "-", 0, 1,
-                bl, 0.0, envelope * l, "<=", bl <= envelope * l,
-            )
-        )
+        rows.append(_row((f"{fc.name}#{mask}", "-", "-", 0, 1), bl, envelope * l, "<="))
     for n in (1, 2, 3):
         for k in (2, 3, 4):
             full = catalog.full_class(n, k)
             space = full.full_space()
-            rows.append(
-                ReportRow(
-                    full.name, "-", "ldim", 0, 1,
-                    ldim(space), 0.0, float(n), "=", ldim(space) == n,
-                )
-            )
-            rows.append(
-                ReportRow(
-                    full.name, "-", "bldim", 0, 1,
-                    bldim(space), 0.0, float((k - 1) * n), "=",
-                    bldim(space) == (k - 1) * n,
-                )
-            )
+            rows.append(_row((full.name, "-", "ldim", 0, 1), ldim(space), n, "="))
+            rows.append(_row((full.name, "-", "bldim", 0, 1), bldim(space), (k - 1) * n, "="))
     return Report(
         "dim-ratio",
         seed,
@@ -766,10 +705,9 @@ def run_experiment(
         fn = PRESETS[preset]
     except KeyError:
         raise ValueError(f"unknown preset {preset!r}; known: {', '.join(sorted(PRESETS))}")
-    sizes = {name: value for name, value in (("trials", trials), ("T", T)) if value is not None}
+    seed = PRESET_SEED if seed is None else hypotheses._nonnegative_field(seed, "seed")
+    sizes = {n: _positive_int(v, n) for n, v in (("trials", trials), ("T", T)) if v is not None}
     for name, value in sizes.items():
-        if type(value) is not int or value <= 0:
-            raise ValueError(f"{name} must be a positive int, got {value!r}")
         if name not in inspect.signature(fn).parameters:
             raise ValueError(f"preset {preset!r} takes no {name}, got {name}={value}")
-    return fn(seed if seed is not None else PRESET_SEED, **sizes)
+    return fn(seed, **sizes)

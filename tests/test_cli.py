@@ -76,6 +76,7 @@ def _play_perm_1x3(learner, adversary):
         (_play_perm_1x3("cycling", "noise:+1"), "takes the form noise:<setsize>"),
         (_play_perm_1x3("constant:abc", "permutation:1"), "learner 'constant' takes the form constant:<label>"),
         (_play_perm_1x3("constant:", "permutation:1"), "learner 'constant' takes the form constant:<label>"),
+        (["experiment", "dim-ratio", "--seed", "-1"], "seed must be nonnegative, got -1"),
     ],
 )
 def test_rejected_input_exits_two_with_a_message(argv, message, capsys):

@@ -1,11 +1,14 @@
+import ast
 import functools
 import hashlib
 import itertools
+import json
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from banditlab import (
     full_class,
     harness,
+    ldim,
     learners,
     linear,
     make_adversary,
@@ -221,11 +225,40 @@ def test_preset_seeds_change_measurements():
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 @pytest.mark.parametrize(
-    "counts", [{"trials": 0}, {"T": 0}, {"trials": -3}, {"T": True}, {"trials": 2.0}, {"T": "5"}]
+    "counts",
+    [
+        {"trials": 0}, {"T": 0}, {"trials": -3}, {"T": True}, {"trials": 2.0}, {"T": "5"},
+        {"seed": -1}, {"seed": 1.5}, {"seed": True},
+    ],
 )
 def test_run_experiment_rejects_counts_that_are_not_positive_ints(preset, counts):
-    with pytest.raises(ValueError):
+    (name,) = counts
+    with pytest.raises(ValueError, match=f"^{name} must be"):
         run_experiment(preset, **counts)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", -1), ("seed", 1.5), ("seed", True),
+        ("T", 0), ("T", True), ("T", 2.5), ("trials", 0), ("trials", True), ("trials", 2.0),
+    ],
+)
+def test_run_game_rejects_a_bad_seed_horizon_or_trial_count(field, value):
+    cfg = replace(GameConfig("full:1x3", "capacity", "guessing", T=2, trials=2), **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        run_game(cfg)
+
+
+def test_numpy_integer_seeds_and_counts_are_their_ints():
+    ints = {"seed": 7, "trials": 10, "T": 24}
+    wide = {name: np.int64(v) for name, v in ints.items()}
+    report = run_experiment("thm2-realizable", **wide)
+    assert report.to_csv() == run_experiment("thm2-realizable", **ints).to_csv()
+    assert type(report.seed) is int
+    cfg = GameConfig("full:1x3", "random", "noise:1", T=5, trials=3, seed=4)
+    same = replace(cfg, T=np.int64(5), trials=np.int64(3), seed=np.int64(4))
+    assert [t.rounds for t in run_game(same)] == [t.rounds for t in run_game(cfg)]
 
 
 def test_bound_holds_in_every_direction():
@@ -744,6 +777,25 @@ def test_exact_rows_are_judged_with_no_slack():
     ]
 
 
+def test_every_row_is_made_and_judged_by_the_one_row_rule():
+    """harness.py builds a `ReportRow` and calls `bound_holds` only inside
+    `_row`, so no preset writes its own pass test."""
+    calls, defs = [], set()
+
+    def scan(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                if child.func.id in ("ReportRow", "bound_holds"):
+                    calls.append((child.func.id, function))
+            if isinstance(child, ast.FunctionDef):
+                defs.add(child.name)
+            scan(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    scan(ast.parse(Path(harness.__file__).read_text()), None)
+    assert sorted(calls) == [("ReportRow", "_row"), ("bound_holds", "_row")]
+    assert "_row" in defs and "_mc_pass" not in defs
+
+
 @pytest.mark.parametrize("k", range(2, 9))
 def test_every_guesser_law_is_its_count_over_every_hidden_label(k):
     """claim-guessing's deterministic rows are exact: each holds its guesser's
@@ -790,6 +842,57 @@ def test_a_nonrepeating_guesser_off_by_one_guess_on_one_label_fails(monkeypatch,
     assert all(r.passed for r in report.rows if r.learner != "nonrepeating")
 
 
+def _failing_rows(monkeypatch, preset, owner, name, shift, **sizes):
+    """(class, learner, adversary) of each row that fails once `owner.name`
+    returns `shift` more than it does, in a report that passes without."""
+    assert run_experiment(preset, seed=7, **sizes).all_pass
+    exact = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: exact(*args) + shift)
+    report = run_experiment(preset, seed=7, **sizes)
+    assert not report.all_pass
+    assert all(r.passed is None for r in report.rows if r.direction == "info")
+    return [(r.klass, r.learner, r.adversary) for r in report.rows if r.passed is False]
+
+
+BIJECTIONS = ("bijections:1x3", "bijections:2x4", "bijections:3x5")
+
+
+@pytest.mark.parametrize(
+    "name, adversary, classes",
+    [
+        ("frobenius_norm", "norm-sq", BIJECTIONS + ("labelings:2x2", "labelings:3x3")),
+        ("roots_of_unity_gap", "min-gap", BIJECTIONS),
+    ],
+)
+def test_thm4_linear_fails_a_gap_or_norm_off_by_a_hair(monkeypatch, name, adversary, classes):
+    failing = _failing_rows(monkeypatch, "thm4-linear", linear, name, 1e-6, trials=100)
+    assert failing == [(spec, "-", adversary) for spec in classes]
+
+
+@pytest.mark.parametrize(
+    "name, shift, adversaries", [("bldim", 100, ("-", "bldim")), ("ldim", 1, ("ldim",))]
+)
+def test_dim_ratio_fails_a_dimension_off_its_envelope_or_closed_form(
+    monkeypatch, name, shift, adversaries
+):
+    """bldim + 100 breaks every subclass's envelope and every full class's
+    closed form; ldim + 1 only raises the envelopes, so only ldim = n fails."""
+    rows = run_experiment("dim-ratio").rows
+    failing = _failing_rows(monkeypatch, "dim-ratio", harness, name, shift)
+    assert failing == [(r.klass, "-", r.adversary) for r in rows if r.adversary in adversaries]
+    assert len(failing) == (15 + 9 if name == "bldim" else 9)
+
+
+def test_thm3_agnostic_fails_a_best_expert_worse_than_the_best_hypothesis(monkeypatch):
+    sizes = {"trials": 4, "T": 40}
+    failing = _failing_rows(monkeypatch, "thm3-agnostic", harness, "best_expert_loss", 1, **sizes)
+    assert failing == [
+        (spec, "best-expert", aname)
+        for spec in ("full:1x3", "full:2x3")
+        for aname in ("random-realizable:1", "noise:1")
+    ]
+
+
 # sha256 of preset CSVs at seed 7, recorded before the presets' games were
 # batched into array operations and shared tapes (thm3-agnostic: before its
 # games went through `play`; thm2-realizable at 20 trials, the benchmark's
@@ -824,6 +927,31 @@ PINNED_T = {("thm3-agnostic", 1): 200, ("thm3-agnostic", 4): 40}
 def test_preset_reports_keep_their_pinned_bytes(preset, trials):
     csv = run_experiment(preset, seed=7, trials=trials, T=PINNED_T.get((preset, trials))).to_csv()
     assert hashlib.sha256(csv.encode()).hexdigest() == PINNED_CSV_SHA256[preset, trials]
+
+
+# sha256 of `json.dumps(report.to_json(), indent=2)` for the same calls,
+# recorded before every row was made by `harness._row`.  The CSV writes
+# mean_mistakes and bound through `repr(float(...))`, so it cannot see an int
+# become a float there; --json emits the raw values, and these pins see them
+PINNED_JSON_SHA256 = {
+    ("claim-guessing", 2000): "8da1d9da800d07b90d4bd53b8814ca2927a3c4e04892e48f41b10e5e1bf00c9e",
+    ("claim-permutation", 100): "223aafb1f9f0c0157bd9de54bdd3ce8353ec04581c51e10e5f859164bc39851a",
+    ("claim-permutation", 300): "4c1d50dce3c353fe107a30178bf199a2a66aea2e857ceaa8ef32fccb06ab7ee8",
+    ("dim-ratio", None): "62c46e07565063eb03998b04f7e3ca0ad2020f27ac401e5d57576298f32db10b",
+    ("thm4-linear", 100): "cd487e759cfad3bdfd29e3487c0b7493a901e77b8f97f674def981a25edfcbaa",
+    ("thm4-linear", 2000): "2caa658dc7d83c40415dae8593690b39f805991932ab8c0e32cd04d35ddd7633",
+    ("thm2-realizable", 10): "f85fdf6413e116e64cc6af658c8b5fb32d2215b549d222960b34550af536b066",
+    ("thm2-realizable", 20): "f35d0a79f722af26f96c07599534c8e9d19abda6fa1ec3f128f68ced145e03a2",
+    ("thm3-agnostic", 1): "c04e613b9129b257941d8ad778665f1402d2234cb221e73d58e17b706d2a8fcc",
+    ("thm3-agnostic", 4): "98f77bc69d84369201777bd862675f19f3a922bbb79bfb07bf7848ddba100971",
+}
+
+
+@pytest.mark.parametrize("preset, trials", sorted(PINNED_JSON_SHA256))
+def test_preset_json_keeps_its_pinned_bytes(preset, trials):
+    report = run_experiment(preset, seed=7, trials=trials, T=PINNED_T.get((preset, trials)))
+    payload = json.dumps(report.to_json(), indent=2)
+    assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_JSON_SHA256[preset, trials]
 
 
 # ---------------------------------------------------------------------------
@@ -864,6 +992,30 @@ def test_thm2_realizable_refuses_a_run_no_hypothesis_realizes(monkeypatch):
     monkeypatch.setattr(harness, "sample_realizable_sequence", lambda fc, T, rng: (clash, 0))
     with pytest.raises(AssertionError, match="failed to justify"):
         run_experiment("thm2-realizable", seed=0, trials=3)
+
+
+@pytest.mark.parametrize("below, passed", [(0, False), (1, True)])
+def test_thm2_realizable_judges_every_run_not_the_mean(monkeypatch, below, passed):
+    """One run planted at the ceiling, rounded up, fails each capacity row
+    although the mean stays below; one mistake fewer passes."""
+    exact = harness._schedule_mistakes
+    ceilings = iter(
+        math.ceil(4 * fc.k * math.log(fc.k) * ldim(fc.full_space()))
+        for fc in map(parse_spec, THM2_CLASSES)
+    )
+
+    def planted(start, seqs):
+        counts = exact(start, seqs)
+        if isinstance(start, learners.CapacityLearner):
+            counts[0] = next(ceilings) - below
+        return counts
+
+    monkeypatch.setattr(harness, "_schedule_mistakes", planted)
+    report = run_experiment("thm2-realizable", seed=7, trials=50)
+    rows = [r for r in report.rows if r.learner == "capacity"]
+    assert [r.klass for r in rows] == list(THM2_CLASSES)
+    assert all(r.mean_mistakes < r.bound and r.passed is passed for r in rows)
+    assert report.all_pass is passed
 
 
 def _sequential_mean_stderr(values):
