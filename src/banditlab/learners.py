@@ -18,6 +18,7 @@ The baseline predictors also count a whole fixed run at once, with
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -409,6 +410,14 @@ def _continuations(r: int, k: int, L: int) -> int:
     return sum(math.comb(r, j) * k**j for j in range(L + 1))
 
 
+@functools.cache
+def _shares_table(T: int, k: int, L: int) -> tuple[tuple[int, ...], ...]:
+    """Experts per past at each round t < T, by deviations used j = 0..L+1:
+    the past's continuations over the T - t - 1 rounds after t.  Built once
+    per (T, k, L) and shared by every Exp4 game with those sizes."""
+    return tuple(tuple(_continuations(T - t - 1, k, L - j) for j in range(L + 2)) for t in range(T))
+
+
 def exp4_gamma(T: int, k: int, L: int) -> float:
     """Exp4's exploration rate over the expert_count(T, k, L) deviation experts."""
     count = expert_count(T, k, L)
@@ -489,9 +498,10 @@ class Exp4Learner:
     that the experts' total weight is 1.  Not blockwise: its play is random,
     and its weights and exploration rate span the whole class and horizon.
 
-    `for_class` computes every round's shares once, and the states of one
-    game share that table.  A state computes its play distribution at each x
-    once, so `update` reuses the distribution `predict` drew from.
+    `for_class` takes every round's shares from one table built once per
+    (T, k, L), which every game with those sizes shares.  A state computes
+    its play distribution at each x once, so `update` reuses the
+    distribution `predict` drew from.
     """
 
     kind: ClassVar[str] = "bandit"
@@ -512,10 +522,7 @@ class Exp4Learner:
     def for_class(cls, fc: FiniteClass, T: int) -> "Exp4Learner":
         L = ldim(fc.full_space())
         weights = {(fc.full_mask, 0): 1.0 / expert_count(T, fc.k, L)}
-        shares = tuple(
-            tuple(_continuations(T - t - 1, fc.k, L - j) for j in range(L + 2)) for t in range(T)
-        )
-        return cls(fc, T, L, exp4_gamma(T, fc.k, L), weights, shares)
+        return cls(fc, T, L, exp4_gamma(T, fc.k, L), weights, _shares_table(T, fc.k, L))
 
     @property
     def _shares(self) -> tuple[int, ...]:
@@ -549,7 +556,12 @@ class Exp4Learner:
         return p
 
     def predict(self, x: int, rng) -> int:
-        return int(rng.choice(self.fc.k, p=self.distribution(x)))
+        """A draw from `distribution(x)`, made as `rng.choice(k, p=...)` makes
+        it (one `rng.random()` searched in the normalized cdf), so label and
+        generator state match that call's, without its checks on p."""
+        cdf = self.distribution(x).cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(rng.random(), side="right"))
 
     def update(self, x: int, prediction: int, feedback: BanditFeedback) -> "Exp4Learner":
         """Importance-weighted exponential update of the experts that advised

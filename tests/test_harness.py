@@ -954,6 +954,26 @@ def test_preset_json_keeps_its_pinned_bytes(preset, trials):
     assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_JSON_SHA256[preset, trials]
 
 
+# sha256 of `repr` of every trial's (mistakes, [(x, prediction, correct), ...])
+# from `run_game`, the path `banditlab play` takes: exp4 on full:2x3 at T=200,
+# 3 trials, seed 7, recorded before Exp4 drew from its own cdf instead of
+# through `Generator.choice`
+PINNED_GAME_SHA256 = {
+    "noise:1": "5869f0e5e12d48ae78c5806171a482e1ab816b02f01e773e10e1aea05bddbaf6",
+    "random-realizable:1": "94ea47468902ae8f7209c9f222e59cd96a795a4dbbfa294d9eb7d473785ad59a",
+}
+
+
+@pytest.mark.parametrize("adversary", sorted(PINNED_GAME_SHA256))
+def test_exp4_games_keep_their_pinned_transcripts(adversary):
+    transcripts = run_game(GameConfig("full:2x3", "exp4", adversary, T=200, trials=3, seed=7))
+    payload = repr([
+        (t.mistakes, [(int(r.x), int(r.prediction), bool(r.correct)) for r in t.rounds])
+        for t in transcripts
+    ])
+    assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_GAME_SHA256[adversary]
+
+
 # ---------------------------------------------------------------------------
 # thm2-realizable against run_game, and the report statistics
 # ---------------------------------------------------------------------------

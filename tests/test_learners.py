@@ -28,6 +28,7 @@ from banditlab import (
     soa_prediction,
 )
 from banditlab import learners
+from banditlab.catalog import parse_spec
 from banditlab.dimensions import _ldim_mask
 from banditlab.harness import GameConfig
 from banditlab.learners import (
@@ -540,6 +541,84 @@ def test_exp4_reads_each_rounds_shares_from_one_table(n, T):
         learner = learner.update(x, pred, BanditFeedback(bool(rng.integers(2))))
     with pytest.raises(ValueError, match=f"set up for {T} rounds"):
         learner._shares
+
+
+def test_exp4_share_table_is_built_once_per_horizon_labels_and_ldim():
+    # its entries are checked round by round in the test above
+    full, const = full_class(1, 3), parse_spec("const:2x3")  # both k = 3, L = 1
+    a, b = Exp4Learner.for_class(full, 40), Exp4Learner.for_class(const, 40)
+    assert (a.fc.k, a.L) == (b.fc.k, b.L) == (3, 1)
+    assert a.shares_by_round is b.shares_by_round
+    assert Exp4Learner.for_class(full, 41).shares_by_round is not a.shares_by_round
+
+
+def assert_draws_as_choice(learner, x, seed, draws):
+    """`predict` against `Generator.choice` on the same distribution, draw
+    for draw from two generators of one seed: equal labels, equal states."""
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    p = learner.distribution(x)
+    for _ in range(draws):
+        assert learner.predict(x, rng_a) == int(rng_b.choice(learner.fc.k, p=p))
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("spec", ["full:1x3", "full:2x3"])
+def test_exp4_draws_as_generator_choice_draws(spec):
+    fc = parse_spec(spec)
+    learner = Exp4Learner.for_class(fc, 30)
+    rng = np.random.default_rng(11)
+    for t in range(30):
+        x = int(rng.integers(fc.n))
+        assert_draws_as_choice(learner, x, seed=t, draws=50)
+        pred = learner.predict(x, rng)
+        learner = learner.update(x, pred, BanditFeedback(bool(rng.integers(2))))
+
+
+def test_exp4_draws_the_one_label_of_a_one_row_class():
+    fc = FiniteClass("one", 2, 3, [[2, 1]])
+    learner = Exp4Learner.for_class(fc, 10)
+    assert learner.L == 0 and learner.gamma == 0.0
+    for x, label in ((0, 2), (1, 1)):
+        assert list(learner.distribution(x)) == [float(y == label) for y in range(3)]
+        assert_draws_as_choice(learner, x, seed=x, draws=50)
+        assert learner.predict(x, np.random.default_rng(x)) == label
+
+
+def holding(p):
+    """An Exp4 state on full:1xk whose cached distribution at x = 0 is p."""
+    learner = Exp4Learner.for_class(full_class(1, len(p)), 5)
+    p.flags.writeable = False
+    learner._distributions[0] = p
+    return learner
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_exp4_draws_as_choice_on_distributions_with_zero_entries(k):
+    rng = np.random.default_rng(k)
+    ps = [np.eye(k)[y] for y in range(k)]  # one-hot
+    for zero in range(k):
+        p = rng.random(k)
+        p[zero] = 0.0
+        ps.append(p / p.sum())
+    p = np.zeros(k)
+    p[[0, k - 1]] = 0.5
+    ps.append(p)
+    for seed, p in enumerate(ps):
+        assert_draws_as_choice(holding(p), 0, seed, draws=200)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exp4_draws_as_choice_where_the_uniform_meets_a_cdf_step(seed):
+    # [u, 1 - u] puts the first cdf step at the generator's next uniform u,
+    # and [a, s - a] (s = 1 - 1e-9, which `choice` accepts as summing to 1)
+    # puts it below u before normalizing and above u after, so a search on
+    # the wrong side of a step, an unnormalized cdf or a rounded uniform
+    # draws another label than `choice` does
+    u = np.random.default_rng(seed).random()
+    s = 1.0 - 1e-9
+    a = u * s + u * 0.5e-9
+    for p in (np.array([u, 1.0 - u]), np.array([a, s - a])):
+        assert_draws_as_choice(holding(p), 0, seed, draws=1)
 
 
 def test_exp4_distribution_is_shared_and_read_only():
