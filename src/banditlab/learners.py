@@ -18,12 +18,12 @@ The baseline predictors also count a whole fixed run at once, with
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
-
-import numpy as np
 
 from .dimensions import ClassCollection, _ldim_mask, bldim, ldim
 from .hypotheses import (
@@ -501,7 +501,9 @@ class Exp4Learner:
     `for_class` takes every round's shares from one table built once per
     (T, k, L), which every game with those sizes shares.  A state computes
     its play distribution at each x once, so `update` reuses the
-    distribution `predict` drew from.
+    distribution `predict` drew from.  A round's arithmetic is done in
+    Python floats, every sum taken left to right: on k-label vectors numpy's
+    per-call cost outweighs its work.
     """
 
     kind: ClassVar[str] = "bandit"
@@ -516,7 +518,7 @@ class Exp4Learner:
     shares_by_round: tuple[tuple[int, ...], ...] = field(repr=False)
     t: int = 0
     mistakes: int = 0
-    _distributions: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _distributions: dict[int, tuple[float, ...]] = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def for_class(cls, fc: FiniteClass, T: int) -> "Exp4Learner":
@@ -532,36 +534,43 @@ class Exp4Learner:
             raise ValueError(f"exp4 was set up for {self.T} rounds")
         return self.shares_by_round[self.t]
 
-    def advice_weights(self, x: int) -> np.ndarray:
+    def advice_weights(self, x: int) -> list[float]:
         """Total weight of the experts advising each label on x this round:
         a past's followers advise its SOA label, its deviators every label."""
         shares = self._shares
-        by_label = np.zeros(self.fc.k)
+        by_label = [0.0] * self.fc.k
         deviating = 0.0
         for (mask, j), w in self.weights.items():
             by_label[_soa_label_mask(self.fc, mask, x)] += w * shares[j]
             deviating += w * shares[j + 1]
-        return by_label + deviating
+        return [b + deviating for b in by_label]
 
-    def distribution(self, x: int) -> np.ndarray:
+    def distribution(self, x: int) -> tuple[float, ...]:
         """Play distribution: weight-averaged advice mixed with gamma of uniform.
-        Read-only, since every call at x returns the same array."""
+        Both normalizers are summed left to right from -0.0, which is numpy's
+        order for fewer than 8 terms.  Every call at x returns the same tuple."""
         p = self._distributions.get(x)
         if p is None:
             by_label = self.advice_weights(x)
-            p = (1.0 - self.gamma) * by_label / by_label.sum() + self.gamma / self.fc.k
-            p = p / p.sum()
-            p.flags.writeable = False
-            self._distributions[x] = p
+            scale, floor = 1.0 - self.gamma, self.gamma / self.fc.k
+            total = -0.0
+            for b in by_label:
+                total += b
+            mixed = [scale * b / total + floor for b in by_label]
+            total = -0.0
+            for m in mixed:
+                total += m
+            p = self._distributions[x] = tuple(m / total for m in mixed)
         return p
 
     def predict(self, x: int, rng) -> int:
         """A draw from `distribution(x)`, made as `rng.choice(k, p=...)` makes
-        it (one `rng.random()` searched in the normalized cdf), so label and
-        generator state match that call's, without its checks on p."""
-        cdf = self.distribution(x).cumsum()
-        cdf /= cdf[-1]
-        return int(cdf.searchsorted(rng.random(), side="right"))
+        it (one `rng.random()` searched in the cdf summed left to right and
+        normalized by its last entry), so label and generator state match
+        that call's, without its checks on p."""
+        cdf = list(itertools.accumulate(self.distribution(x)))
+        last = cdf[-1]
+        return bisect.bisect_right([c / last for c in cdf], rng.random())
 
     def update(self, x: int, prediction: int, feedback: BanditFeedback) -> "Exp4Learner":
         """Importance-weighted exponential update of the experts that advised

@@ -7,6 +7,9 @@ checked against; keep it to small horizons.  `imitating_expert` names the
 expert that replays a given labeling.  `uncached_soa_label` and
 `uncached_moves` compute a state's SOA label and moves without the class's
 caches: the oracles for `label_cache` and `move_cache`.
+`numpy_advice_weights` and `numpy_distribution` compute a learner state's
+advice and play distribution in numpy arrays, the oracles for the learner's
+float arithmetic.
 """
 
 from __future__ import annotations
@@ -49,6 +52,32 @@ def uncached_moves(fc, L: int, mask: int, j: int, x: int):
     if j < L:
         for y in range(fc.k):
             yield y, (mask & fc.eq_mask(x, y), j + 1)
+
+
+def numpy_advice_weights(learner, x: int) -> np.ndarray:
+    """An Exp4 state's advice weight per label on x: each state's followers
+    added into a zeroed array, then the deviators' total added to every label."""
+    shares = learner._shares
+    by_label = np.zeros(learner.fc.k)
+    deviating = 0.0
+    for (mask, j), w in learner.weights.items():
+        by_label[uncached_soa_label(learner.fc, mask, x)] += w * shares[j]
+        deviating += w * shares[j + 1]
+    return by_label + deviating
+
+
+def numpy_distribution(learner, x: int, total=np.sum) -> np.ndarray:
+    """An Exp4 state's play distribution on x, both normalizers taken by
+    `total`: numpy's own sum (pairwise from 8 terms on) by default."""
+    by_label = numpy_advice_weights(learner, x)
+    p = (1.0 - learner.gamma) * by_label / total(by_label) + learner.gamma / learner.fc.k
+    return p / total(p)
+
+
+def ordered_sum(a: np.ndarray) -> float:
+    """The sum of a taken left to right: the last entry of its cumsum, which
+    numpy takes in order at every length."""
+    return np.cumsum(a)[-1]
 
 
 def imitating_expert(fc, xs, labels) -> Expert:

@@ -41,6 +41,9 @@ from corpus_util import named_corpus
 from exp4_oracle import (
     enumerate_experts,
     imitating_expert,
+    numpy_advice_weights,
+    numpy_distribution,
+    ordered_sum,
     play_oracle,
     uncached_moves,
     uncached_soa_label,
@@ -307,7 +310,7 @@ def test_pool_advice_matches_expert_simulation():
     learner = Exp4Learner.for_class(fc, T)
     for t, x in enumerate(xs):
         counts = np.bincount(advice[:, t], minlength=fc.k)
-        assert learner.advice_weights(x) * len(experts) == pytest.approx(counts, abs=1e-9)
+        assert np.array(learner.advice_weights(x)) * len(experts) == pytest.approx(counts, abs=1e-9)
         learner = learner.update(x, 0, BanditFeedback(False))
 
 
@@ -365,8 +368,8 @@ def test_uniform_advice_mixture():
     learner = Exp4Learner.for_class(fc, 20)
     gamma = learner.gamma
     assert 0.0 < gamma < 1.0
-    assert learner.advice_weights(0) * 61 == pytest.approx([59, 1, 1])
-    p = learner.distribution(0)
+    assert np.array(learner.advice_weights(0)) * 61 == pytest.approx([59, 1, 1])
+    p = np.array(learner.distribution(0))
     assert p[0] == pytest.approx((1 - gamma) * 59 / 61 + gamma / 3)
     assert p[1] == pytest.approx((1 - gamma) / 61 + gamma / 3)
     assert p.sum() == pytest.approx(1.0)
@@ -562,18 +565,6 @@ def assert_draws_as_choice(learner, x, seed, draws):
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-@pytest.mark.parametrize("spec", ["full:1x3", "full:2x3"])
-def test_exp4_draws_as_generator_choice_draws(spec):
-    fc = parse_spec(spec)
-    learner = Exp4Learner.for_class(fc, 30)
-    rng = np.random.default_rng(11)
-    for t in range(30):
-        x = int(rng.integers(fc.n))
-        assert_draws_as_choice(learner, x, seed=t, draws=50)
-        pred = learner.predict(x, rng)
-        learner = learner.update(x, pred, BanditFeedback(bool(rng.integers(2))))
-
-
 def test_exp4_draws_the_one_label_of_a_one_row_class():
     fc = FiniteClass("one", 2, 3, [[2, 1]])
     learner = Exp4Learner.for_class(fc, 10)
@@ -587,8 +578,7 @@ def test_exp4_draws_the_one_label_of_a_one_row_class():
 def holding(p):
     """An Exp4 state on full:1xk whose cached distribution at x = 0 is p."""
     learner = Exp4Learner.for_class(full_class(1, len(p)), 5)
-    p.flags.writeable = False
-    learner._distributions[0] = p
+    learner._distributions[0] = tuple(p)
     return learner
 
 
@@ -625,7 +615,7 @@ def test_exp4_distribution_is_shared_and_read_only():
     learner = Exp4Learner.for_class(full_class(1, 3), 20)
     p = learner.distribution(0)
     assert learner.distribution(0) is p
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         p[0] = 1.0
 
 
@@ -643,6 +633,81 @@ def test_exp4_normalizes_by_the_sum_taken_left_to_right():
     weights = {(1 << h, learner.L): w for h, w in enumerate(terms)}  # singletons stay put
     nxt = replace(learner, weights=weights).update(0, 0, BanditFeedback(False))
     assert nxt.weights == {state: w / ordered for state, w in weights.items()}
+
+
+def exp4_states(spec, T, seed):
+    """Every state of an Exp4 game on spec, fed random instances and random
+    bandit feedback."""
+    fc = parse_spec(spec)
+    learner = Exp4Learner.for_class(fc, T)
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(T):
+        states.append(learner)
+        x = int(rng.integers(fc.n))
+        pred = learner.predict(x, rng)
+        learner = learner.update(x, pred, BanditFeedback(bool(rng.integers(2))))
+    return states
+
+
+@pytest.mark.parametrize("spec", [f"full:1x{k}" for k in range(2, 8)] + ["full:2x3"])
+def test_exp4_computes_in_floats_what_numpy_computes_below_eight_labels(spec):
+    # below 8 terms numpy's sum is taken left to right, as the learner's is
+    for t, learner in enumerate(exp4_states(spec, 30, seed=11)):
+        for x in range(learner.fc.n):
+            assert learner.advice_weights(x) == numpy_advice_weights(learner, x).tolist()
+            assert learner.distribution(x) == tuple(numpy_distribution(learner, x).tolist())
+            assert_draws_as_choice(learner, x, seed=t, draws=20)
+
+
+@pytest.mark.parametrize("k", [8, 9])
+def test_exp4_sums_left_to_right_from_eight_labels_on(k):
+    # from 8 terms on numpy sums pairwise; the learner still sums in order
+    for t, learner in enumerate(exp4_states(f"full:1x{k}", 30, seed=k)):
+        p = learner.distribution(0)
+        assert learner.advice_weights(0) == numpy_advice_weights(learner, 0).tolist()
+        assert p == tuple(numpy_distribution(learner, 0, total=ordered_sum).tolist())
+        assert np.max(np.abs(np.array(p) - numpy_distribution(learner, 0))) <= 1e-15
+        assert_draws_as_choice(learner, 0, seed=t, draws=20)
+
+
+def test_exp4_distribution_normalizes_by_the_sums_taken_left_to_right():
+    # pasts with no deviation left advise their own label with one
+    # continuation each, so on full:1x8 the advice weights are these terms;
+    # numpy's pairwise sum, math.fsum and the sum taken left to right all
+    # round them differently.  Without exploration (gamma 0) p is the terms
+    # over their sum
+    learner = Exp4Learner.for_class(full_class(1, 8), 5)
+    terms = [1.0] + [2.0**-53] * 7
+    assert len({np.sum(terms), math.fsum(terms), ordered_sum(terms)}) == 3
+    weights = {(1 << y, learner.L): w for y, w in enumerate(terms)}  # row y plays y
+    state = replace(learner, weights=weights, gamma=0.0)
+    assert state.advice_weights(0) == terms
+    p = state.distribution(0)
+    assert p == tuple(numpy_distribution(state, 0, total=ordered_sum).tolist())
+    assert p != tuple(numpy_distribution(state, 0).tolist())
+    assert p != tuple(numpy_distribution(state, 0, total=math.fsum).tolist())
+
+
+class NoNumpy:
+    """Stands in for numpy, failing on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} was called")
+
+
+def test_exp4_plays_its_rounds_without_numpy(monkeypatch):
+    fc = full_class(2, 3)
+    learner = Exp4Learner.for_class(fc, 30)
+    rng = np.random.default_rng(8)
+    xs = [int(x) for x in rng.integers(fc.n, size=30)]
+    target = [int(y) for y in fc.table[int(rng.integers(fc.size))]]
+    monkeypatch.setattr(learners, "np", NoNumpy(), raising=False)
+    for x in xs:
+        assert len(learner.advice_weights(x)) == len(learner.distribution(x)) == fc.k
+        pred = learner.predict(x, rng)
+        learner = learner.update(x, pred, BanditFeedback(pred == target[x]))
+    assert learner.t == 30
 
 
 def test_make_learner_registry():
