@@ -1,5 +1,7 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -565,6 +567,18 @@ def assert_draws_as_choice(learner, x, seed, draws):
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
+@pytest.mark.parametrize("spec", ["full:1x3", "full:2x3"])
+def test_exp4_draws_as_generator_choice_draws(spec):
+    fc = parse_spec(spec)
+    learner = Exp4Learner.for_class(fc, 30)
+    rng = np.random.default_rng(11)
+    for t in range(30):
+        x = int(rng.integers(fc.n))
+        assert_draws_as_choice(learner, x, seed=t, draws=50)
+        pred = learner.predict(x, rng)
+        learner = learner.update(x, pred, BanditFeedback(bool(rng.integers(2))))
+
+
 def test_exp4_draws_the_one_label_of_a_one_row_class():
     fc = FiniteClass("one", 2, 3, [[2, 1]])
     learner = Exp4Learner.for_class(fc, 10)
@@ -708,6 +722,19 @@ def test_exp4_plays_its_rounds_without_numpy(monkeypatch):
         pred = learner.predict(x, rng)
         learner = learner.update(x, pred, BanditFeedback(pred == target[x]))
     assert learner.t == 30
+
+
+def test_learners_module_imports_no_numpy():
+    # with the game above, a numpy path cannot come back under another name
+    # (`import numpy`, `from numpy import cumsum`, a function-level import)
+    tree = ast.parse(Path(learners.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    assert imported and not {m for m in imported if m.split(".")[0] == "numpy"}
 
 
 def test_make_learner_registry():
