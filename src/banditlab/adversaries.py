@@ -20,10 +20,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .catalog import full_class
-from .dimensions import bldim
+from .dimensions import bldim, bldim_split
 from .hypotheses import FiniteClass, LabeledSequence, MultiLabelExample, is_decimal
 from .learners import BanditFeedback, make_learner
 
@@ -225,17 +223,11 @@ class MinimaxBanditAdversary:
         self._pending: int | None = None
 
     def _forcing_instance(self) -> int:
+        # an unused label's entry is bldim(V), at least every other entry since
+        # bldim cannot grow under restriction: counting it cannot change the test
         target = bldim(self.space)
         for x in range(self.fc.n):
-            worst = None
-            for y in range(self.fc.k):
-                sub = self.space.restrict_ne(x, y)
-                if sub.mask == self.space.mask:
-                    continue
-                d = bldim(sub)
-                if worst is None or d < worst:
-                    worst = d
-            if 1 + worst == target:
+            if 1 + min(bldim_split(self.space, x)) == target:
                 return x
         raise AssertionError("no instance attains the bandit dimension")  # unreachable
 

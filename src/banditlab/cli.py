@@ -17,16 +17,12 @@ from .learners import exp4_gamma, expert_count
 def _cmd_dim(args) -> int:
     fc = resolve_class(args.classfile)
     space = fc.full_space()
-    if args.mode in ("l", "both"):
-        d = ldim(space)
-        print(f"ldim {fc.name} = {d}")
-        if args.witness and d > 0:
-            print(format_witness(shatter_witness(space, d, "L", depth_cap=max(6, d))))
-    if args.mode in ("bl", "both"):
-        d = bldim(space)
-        print(f"bldim {fc.name} = {d}")
-        if args.witness and d > 0:
-            print(format_witness(shatter_witness(space, d, "BL", depth_cap=max(6, d))))
+    for mode, name, fn, tree in (("l", "ldim", ldim, "L"), ("bl", "bldim", bldim, "BL")):
+        if args.mode in (mode, "both"):
+            d = fn(space)
+            print(f"{name} {fc.name} = {d}")
+            if args.witness and d > 0:
+                print(format_witness(shatter_witness(space, d, tree, depth_cap=max(6, d))))
     return 0
 
 

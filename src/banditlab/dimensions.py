@@ -26,6 +26,10 @@ min is always attained on a proper subset.  Skipping those branches keeps the
 recursion well-founded.  The tree oracles do not rely on this argument: they
 recurse on depth, which is how the two routes stay independent cross-checks.
 
+`bldim_split(V, x)` lists bldim(V[x!=y]) by label: the bsoa learner predicts
+its smallest entry, and the minimax adversary forces at the first x where
+1 + its smallest entry is bldim(V).
+
 Both recursions are searched branch and bound.  Every call still returns
 the exact value of its own space, and memoizes it unless it is closed form;
 a cut only skips branches of the current call that cannot change its max, so
@@ -103,6 +107,14 @@ def ldim(space: VersionSpace) -> int:
 def bldim(space: VersionSpace) -> int:
     """Bandit Littlestone dimension of a version space (-1 for the empty space)."""
     return _bldim_mask(space.cls, space.mask)
+
+
+def bldim_split(space: VersionSpace, x: int) -> list[int]:
+    """bldim(V[x!=y]) for every label y, in label order; an unused label's
+    restriction is V itself and counts at bldim(V)."""
+    cls, mask = space.cls, space.mask
+    cls.check_instance(x)
+    return [_bldim_mask(cls, mask & ne) for ne in cls.ne_masks(x)]
 
 
 def _ldim_mask(cls: FiniteClass, mask: int) -> int:

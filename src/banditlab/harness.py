@@ -212,7 +212,7 @@ def play_bound(cfg: GameConfig, fc: FiniteClass) -> tuple[float, str] | None:
         aname in ("guessing", "permutation")
         or (aname == "random-realizable" and (not aarg or int(aarg) == 1))
     )
-    if lname == "capacity" and (single_label_realizable or aname == "random-realizable"):
+    if lname == "capacity" and aname in ("guessing", "permutation", "random-realizable"):
         k, L = fc.k, ldim(fc.full_space())
         return 4.0 * k * math.log(k) * L, "<"
     if lname == "soa" and single_label_realizable:
@@ -590,7 +590,7 @@ def preset_claim_guessing(seed: int, trials: int = 100_000) -> Report:
         runs = [guessing_run(h, k - 1) for h in range(k)]
         for strategy, lname in GUESSER_LEARNERS.items():
             label = (f"k={k}", strategy, "guessing", k - 1)
-            if strategy == "random":
+            if not learner_class(lname).deterministic:
                 game_rng, guess_rng = map(np.random.default_rng, ss.spawn(2))
                 # one draw per game, then each game's k-1 guesses, as `guessing_game` makes them
                 hidden = game_rng.integers(k, size=trials)
@@ -636,7 +636,7 @@ def preset_claim_permutation(seed: int, trials: int = 10_000) -> Report:
         runs = [permutation_sequence(block, 1, (row,)) for row in itertools.permutations(range(k))]
         for lname in PERMUTATION_ZOO:
             label = (fc.name, lname, f"permutation:{delta}", horizon)
-            if lname == "random":
+            if not learner_class(lname).deterministic:
                 start, rng = make_learner(lname, fc, horizon), np.random.default_rng
                 counts = [
                     start.run_mistakes(tapes[draw_permutation_tape(delta, k, rng(a))], rng(b))

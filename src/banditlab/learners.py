@@ -12,8 +12,10 @@ learners expose
     update(x, prediction, feedback) -> next state
     mistakes      running count
 
-The baseline predictors also count a whole fixed run at once, with
-`run_mistakes(seq, rng)`.
+The version-space learners (soa, soa-bandit, bsoa) share `_SpaceLearner`: its
+space, count, `for_class` and correctness-bit update; each adds its predict,
+and soa its full-information update.  The baseline predictors also count a
+whole fixed run at once, with `run_mistakes(seq, rng)`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from .dimensions import ClassCollection, _ldim_mask, bldim, ldim
+from .dimensions import ClassCollection, _ldim_mask, bldim_split, ldim
 from .hypotheses import (
     FiniteClass,
     LabeledSequence,
@@ -51,7 +53,7 @@ class BanditFeedback:
 
 
 # ---------------------------------------------------------------------------
-# full-information version-space learner
+# version-space learners
 # ---------------------------------------------------------------------------
 
 
@@ -75,30 +77,45 @@ def _soa_label_mask(fc: FiniteClass, mask: int, x: int) -> int:
 
 
 @dataclass(frozen=True)
-class SOALearner:
-    """Standard optimal version-space learner for full-information rounds.
+class _SpaceLearner:
+    """A deterministic learner that keeps one version space, starting from the
+    whole class, and by default restricts it by the correctness bit: to
+    h(x) = prediction when right, to h(x) != prediction when wrong.
 
-    Predicts the dimension-maximizing label and keeps only hypotheses agreeing
-    with the revealed label set.  On single-label realizable runs it makes at
-    most ldim(H) mistakes.
-
-    Blockwise: on a product A x B its version space stays a product, and at an
-    instance of A each label's restriction has the dimension of the A-part's
-    restriction plus ldim of the B-part, a constant shift (an empty
-    restriction stays -1, below every nonempty one).  So its predictions, ties
-    included, and its mistakes on A's instances are those of SOA on A alone.
+    Blockwise: on a product A x B every restriction at an instance of A keeps
+    the space a product with the same B-part, and the dimension the learner
+    compares for each label there (ldim of V[x=y], or bldim of V[x!=y]) is the
+    A-part's plus that of the B-part, a constant shift (an empty restriction
+    stays -1, below every nonempty one).  So its predictions, ties included,
+    and its mistakes on A's instances are those of the learner on A alone.
     """
 
-    kind: ClassVar[str] = "full"
     deterministic: ClassVar[bool] = True
-    blockwise: ClassVar[bool] = True
 
     space: VersionSpace
     mistakes: int = 0
 
     @classmethod
-    def for_class(cls, fc: FiniteClass) -> "SOALearner":
+    def for_class(cls, fc: FiniteClass):
         return cls(fc.full_space())
+
+    def update(self, x: int, prediction: int, feedback: BanditFeedback):
+        if feedback.correct:
+            return type(self)(self.space.restrict_eq(x, prediction), self.mistakes)
+        return type(self)(self.space.restrict_ne(x, prediction), self.mistakes + 1)
+
+
+@dataclass(frozen=True)
+class SOALearner(_SpaceLearner):
+    """Standard optimal version-space learner for full-information rounds.
+
+    Predicts the dimension-maximizing label and keeps only hypotheses agreeing
+    with the revealed label set.  On single-label realizable runs it makes at
+    most ldim(H) mistakes.
+    """
+
+    kind: ClassVar[str] = "full"
+    blockwise: ClassVar[bool] = True
 
     def predict(self, x: int, rng=None) -> int:
         if self.space.is_empty:
@@ -112,77 +129,39 @@ class SOALearner:
 
 
 @dataclass(frozen=True)
-class SOABanditLearner:
+class SOABanditLearner(_SpaceLearner):
     """SOA heuristic fed only correctness bits.
 
     Equality-restricts on correct rounds (exact when label sets are
     singletons) and inequality-restricts on wrong ones.  No mistake guarantee;
     it is a zoo member for lower-bound probes.
-
-    Blockwise, as `SOALearner` is: both restrictions keep a product's version
-    space a product, and the dimensions it compares shift by a constant.
     """
 
     kind: ClassVar[str] = "bandit"
-    deterministic: ClassVar[bool] = True
     blockwise: ClassVar[bool] = True
-
-    space: VersionSpace
-    mistakes: int = 0
-
-    @classmethod
-    def for_class(cls, fc: FiniteClass) -> "SOABanditLearner":
-        return cls(fc.full_space())
 
     def predict(self, x: int, rng=None) -> int:
         return soa_prediction(self.space, x)
 
-    def update(self, x: int, prediction: int, feedback: BanditFeedback) -> "SOABanditLearner":
-        if feedback.correct:
-            return SOABanditLearner(self.space.restrict_eq(x, prediction), self.mistakes)
-        return SOABanditLearner(self.space.restrict_ne(x, prediction), self.mistakes + 1)
-
 
 @dataclass(frozen=True)
-class BanditOptimalLearner:
+class BanditOptimalLearner(_SpaceLearner):
     """Bandit version-space learner that predicts the label whose avoidance
-    restriction has the smallest bandit dimension.
+    restriction has the smallest bandit dimension (ties: smallest label).
 
     Every x has a label whose avoidance drops bldim, so each wrong answer
     shrinks bldim by at least one: single-label realizable runs cost at most
     bldim(H) mistakes.
-
-    Blockwise: on a product A x B its version space stays a product, and at an
-    instance of A each avoidance restriction has the bldim of the A-part's
-    plus bldim of the B-part, a constant shift (an empty one stays -1, below
-    every nonempty one), so it predicts and errs as on A alone.
     """
 
     kind: ClassVar[str] = "bandit"
-    deterministic: ClassVar[bool] = True
     blockwise: ClassVar[bool] = True
-
-    space: VersionSpace
-    mistakes: int = 0
-
-    @classmethod
-    def for_class(cls, fc: FiniteClass) -> "BanditOptimalLearner":
-        return cls(fc.full_space())
 
     def predict(self, x: int, rng=None) -> int:
         if self.space.is_empty:
             raise RealizabilityViolation("version space emptied: run was not realizable")
-        best_y, best_d = 0, None
-        for y in range(self.space.cls.k):
-            d = bldim(self.space.restrict_ne(x, y))
-            if best_d is None or d < best_d:
-                best_y, best_d = y, d
-        return best_y
-
-    def update(self, x: int, prediction: int, feedback: BanditFeedback) -> "BanditOptimalLearner":
-        if feedback.correct:
-            return BanditOptimalLearner(self.space.restrict_eq(x, prediction), self.mistakes)
-        return BanditOptimalLearner(self.space.restrict_ne(x, prediction), self.mistakes + 1)
+        dims = bldim_split(self.space, x)
+        return dims.index(min(dims))
 
 
 # ---------------------------------------------------------------------------

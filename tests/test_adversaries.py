@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from banditlab import (
+    BanditOptimalLearner,
     MinimaxBanditAdversary,
     MultiLabelExample,
     PermutationAdversary,
+    VersionSpace,
     bldim,
     constants_class,
     draw_permutation_tape,
@@ -31,8 +33,10 @@ from banditlab.adversaries import (
     guessing_run,
     permutation_floor,
 )
+from bsoa_oracle import bsoa_prediction, forcing_instance
 from corpus_util import enumerated_spaces, random_spaces
 from banditlab.catalog import parse_spec, subclass
+from banditlab.dimensions import bldim_split
 from banditlab.harness import _mean_stderr, _schedule_mistakes
 
 
@@ -277,6 +281,31 @@ def test_bsoa_attains_the_minimax_value_exactly():
         for T in (1, d + 3):
             mistakes, _ = play_minimax(fc, "bsoa", T)
             assert mistakes == min(T, d), fc.name
+
+
+@pytest.mark.parametrize("spec", ["full:2x3", "perm:1x3"])
+def test_bandit_split_matches_the_label_by_label_routes(spec):
+    """bsoa and the minimax adversary read `bldim_split`; on every nonempty
+    subclass they choose what the label-by-label loops chose."""
+    fc = parse_spec(spec)
+    adv = MinimaxBanditAdversary(fc)
+    for mask in range(1, fc.full_mask + 1):
+        space = VersionSpace(fc, mask)
+        learner = BanditOptimalLearner(space)
+        for x in range(fc.n):
+            assert bldim_split(space, x) == [bldim(space.restrict_ne(x, y)) for y in range(fc.k)]
+            assert learner.predict(x) == bsoa_prediction(space, x), (mask, x)
+        adv.space = space
+        assert adv._forcing_instance() == forcing_instance(space), mask
+
+
+def test_bandit_split_rejects_an_instance_outside_the_class():
+    fc = full_class(2, 3)
+    for x in (fc.n, -1):
+        with pytest.raises(ValueError, match="outside"):
+            BanditOptimalLearner.for_class(fc).predict(x)
+        with pytest.raises(ValueError, match="outside"):
+            bldim_split(fc.full_space(), x)
 
 
 def test_minimax_on_singleton_is_honest_from_the_start():

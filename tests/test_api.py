@@ -2,8 +2,9 @@
 name (`bl.<name>` for `import banditlab as bl`, `catalog.<name>`, and
 `from banditlab... import <name>`).  Every such name must still exist, so that
 deleting one fails here rather than in the middle of a benchmark run.  The
-other way round, every name the package exports must have a reader, so that
-code nothing needs does not stay in the package."""
+other way round, every name the package exports must have a reader, and every
+name a module imports must be read in that module, so that code nothing needs
+does not stay in the package."""
 
 import ast
 import importlib
@@ -74,6 +75,22 @@ def test_every_exported_name_has_a_reader():
     readers += [path for path in sorted((ROOT / "tests").glob("*.py")) if path.name != "test_api.py"]
     readers += sorted(BENCH.glob("*.py"))
     assert sorted(exported - read_names(readers)) == []
+
+
+def test_every_module_reads_each_name_it_imports():
+    unread = []
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    assert len(modules) >= 9
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        unread += [f"{path.name}: {name}" for name in sorted(imported - read_names([path]))]
+    assert unread == []
 
 
 # The benchmark also calls a guesser's methods, which the name scan above

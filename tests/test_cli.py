@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -96,6 +97,34 @@ def test_a_zero_padded_set_size_keeps_the_single_label_ceiling(capsys):
     for adversary in ("random-realizable:1", "random-realizable:01", "random-realizable"):
         assert cli.main(args + [adversary]) == 0
         assert capsys.readouterr().out.splitlines()[1].endswith(",1.0,true")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["full:2x3"], "ldim full:2x3 = 2\nbldim full:2x3 = 4\n"),
+        (["full:2x3", "--mode", "bl"], "bldim full:2x3 = 4\n"),
+        (
+            ["full:1x3", "--mode", "l", "--witness"],
+            "ldim full:1x3 = 1\nx=0\n  y=0 ->\n    leaf\n  y=1 ->\n    leaf\n",
+        ),
+    ],
+)
+def test_dim_prints_the_same_bytes(argv, expected, capsys):
+    assert cli.main(["dim", *argv]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_dim_prints_both_witness_trees_byte_for_byte(capsys):
+    assert cli.main(["dim", "perm:1x3", "--witness"]) == 0
+    out = capsys.readouterr().out
+    # 94 lines: the ldim line and its tree, then the bldim line and its tree
+    lines = out.splitlines()
+    assert len(lines) == 94
+    assert lines[0] == "ldim perm:1x3 = 2" and lines.index("bldim perm:1x3 = 3") == 14
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e77e774f92899325441070aa383d5c506fd2c0c4efb5eccc9490f4708657f153"
+    )
 
 
 def test_claim_guessing_does_not_fail_by_chance(capsys):
