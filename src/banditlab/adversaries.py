@@ -16,6 +16,7 @@ replays it.  Only MinimaxBanditAdversary reacts to the predictions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,12 +167,14 @@ def permutation_sequence(fc: FiniteClass, delta: int, tape) -> LabeledSequence:
     return seq
 
 
+@functools.cache
 def every_permutation_sequence(block: FiniteClass, delta: int) -> dict[tuple, LabeledSequence]:
     """Every tape of the block schedule on the product of delta copies of
     `block` (a perm:1xk class), in `itertools.product` order, with its
     `permutation_sequence` on that product.  Each (j, row) segment, row's
     run on `block` with its instances shifted by j*k, is built once, and a
-    tape's sequence joins its rows' segments."""
+    tape's sequence joins its rows' segments.  The table is built once per
+    (block, delta) per process and shared: read it, never change it."""
     k = block.k
     runs = {row: permutation_sequence(block, 1, (row,)) for row in itertools.permutations(range(k))}
     segment = {

@@ -1,7 +1,12 @@
-"""Builders for the hypothesis classes used by presets and tests."""
+"""Builders for the hypothesis classes used by presets and tests.
+
+Every builder, `parse_spec` included, returns a fresh class with cold memos;
+`shared_class` keeps one class per spec for the presets and for games named
+by spec."""
 
 from __future__ import annotations
 
+import functools
 from itertools import permutations, product
 
 from .hypotheses import FiniteClass, is_decimal, product_class
@@ -49,7 +54,8 @@ def subclass(cls: FiniteClass, mask: int) -> FiniteClass:
 
 
 def parse_spec(spec: str) -> FiniteClass:
-    """Resolve a builtin class spec: full:NxK, const:NxK, or perm:DxK."""
+    """Resolve a builtin class spec: full:NxK, const:NxK, or perm:DxK, as a
+    fresh class with cold memos (see `shared_class` for the shared one)."""
     kind, _, shape = spec.partition(":")
     parts = shape.split("x")
     if len(parts) != 2 or not all(is_decimal(part) for part in parts):
@@ -62,3 +68,12 @@ def parse_spec(spec: str) -> FiniteClass:
     if kind == "perm":
         return permutation_class(a, b)
     raise ValueError(f"unknown class kind {kind!r} in spec {spec!r}")
+
+
+@functools.cache
+def shared_class(spec: str) -> FiniteClass:
+    """One `parse_spec(spec)` class per spec per process, so every preset call
+    and every game named by spec reuses its memos; they hold only exact values
+    and stay for the life of the process (`shared_class.cache_clear()` drops
+    them)."""
+    return parse_spec(spec)

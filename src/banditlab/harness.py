@@ -17,7 +17,6 @@ there is exact: the `Law` of its counts over every tape or label (see
 from __future__ import annotations
 
 import inspect
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,7 +33,6 @@ from .adversaries import (
     guessing_run,
     make_adversary,
     permutation_floor,
-    permutation_sequence,
     sample_realizable_sequence,
 )
 from .dimensions import bldim, ldim
@@ -92,7 +90,7 @@ def resolve_class(source: str | FiniteClass) -> FiniteClass:
         return source
     if Path(source).exists():
         return read_class(source)
-    return catalog.parse_spec(source)
+    return catalog.shared_class(source)
 
 
 # The two bandit feedbacks, by correctness bit: feedback is a value, so every
@@ -438,7 +436,7 @@ def preset_thm2_realizable(seed: int, trials: int = 50, T: int = 24) -> Report:
     rows = []
     adv_streams = [child.spawn(2)[0] for child in np.random.SeedSequence(seed).spawn(trials)]
     for spec in ("full:1x2", "full:1x3", "full:2x2", "full:2x3", "perm:1x3"):
-        fc = catalog.parse_spec(spec)
+        fc = catalog.shared_class(spec)
         space = fc.full_space()
         k, L = fc.k, ldim(space)
         bound = 4.0 * k * math.log(k) * L
@@ -475,7 +473,7 @@ def preset_thm3_agnostic(seed: int, trials: int = 50, T: int = 200) -> Report:
     rows = []
     ss = np.random.SeedSequence(seed)
     for spec in ("full:1x3", "full:2x3"):
-        fc = catalog.parse_spec(spec)
+        fc = catalog.shared_class(spec)
         k, L = fc.k, ldim(fc.full_space())
         bound = math.e * math.sqrt(k * T * L * math.log(T * k))
         for aname in ("random-realizable:1", "noise:1"):
@@ -556,7 +554,7 @@ def preset_thm4_linear(seed: int, trials: int = 2000, T: int = 60) -> Report:
     # lower-bound transfer: the block schedule on embedded points, over every
     # tape; point (j, m) is the m-th root of unity on coordinate j whatever the tape
     delta, k = 2, 3
-    fc = catalog.permutation_class(delta, k)
+    fc = catalog.shared_class(f"perm:{delta}x{k}")
     _, graph = linear.roots_of_unity_embedding([list(range(k))] * delta)
     points = {x: graph[x][0] for x in range(delta * k)}
     start = linear.EmbeddedLearner(linear.BanditPerceptron.zeros(k, 2 * delta), points)
@@ -586,7 +584,7 @@ def preset_claim_guessing(seed: int, trials: int = 100_000) -> Report:
     ss = np.random.SeedSequence(seed)
     for k in range(2, 9):
         floor = Fraction(k - 1, 2)
-        fc = catalog.full_class(1, k)
+        fc = catalog.shared_class(f"full:1x{k}")
         runs = [guessing_run(h, k - 1) for h in range(k)]
         for strategy, lname in GUESSER_LEARNERS.items():
             label = (f"k={k}", strategy, "guessing", k - 1)
@@ -622,26 +620,31 @@ def preset_claim_permutation(seed: int, trials: int = 10_000) -> Report:
     perm:deltaxk is the product of delta copies of one perm:1xk block, which
     a `blockwise` learner plays as it would play it alone: its law is that of
     its k! block runs, summed over the delta independent blocks.  The random
-    learner plays `trials` games, trial i's (tape, learner) seed pair spawned
-    once per call for both schedules, and is judged by its law,
+    learner plays `trials` games, trial i's (tape, learner) generator pair
+    built once per call from one spawned seed pair and rewound to its fresh
+    state before each schedule, and is judged by its law,
     Binomial(horizon, (k-1)/k)."""
     rows = []
-    streams = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(trials)]
+    rngs = [
+        tuple(map(np.random.default_rng, child.spawn(2)))
+        for child in np.random.SeedSequence(seed).spawn(trials)
+    ]
+    fresh = [(a.bit_generator.state, b.bit_generator.state) for a, b in rngs]
     for delta, k in ((1, 3), (2, 4)):
-        fc = catalog.permutation_class(delta, k)
+        fc = catalog.shared_class(f"perm:{delta}x{k}")
         block = fc.factors[0] if delta > 1 else fc
         horizon = delta * k * (k - 1) // 2
         floor = permutation_floor(delta, k)
         tapes = every_permutation_sequence(block, delta)
-        runs = [permutation_sequence(block, 1, (row,)) for row in itertools.permutations(range(k))]
+        runs = every_permutation_sequence(block, 1).values()
         for lname in PERMUTATION_ZOO:
             label = (fc.name, lname, f"permutation:{delta}", horizon)
             if not learner_class(lname).deterministic:
-                start, rng = make_learner(lname, fc, horizon), np.random.default_rng
-                counts = [
-                    start.run_mistakes(tapes[draw_permutation_tape(delta, k, rng(a))], rng(b))
-                    for a, b in streams
-                ]
+                start, counts = make_learner(lname, fc, horizon), []
+                for (tape_rng, rng), (tape_state, state) in zip(rngs, fresh):
+                    tape_rng.bit_generator.state, rng.bit_generator.state = tape_state, state
+                    tape = draw_permutation_tape(delta, k, tape_rng)
+                    counts.append(start.run_mistakes(tapes[tape], rng))
                 law = Law.binomial(horizon, Fraction(k - 1, k))
                 rows += _law_rows(label, trials, law, floor, (">=",), _mean_stderr(counts))
                 continue

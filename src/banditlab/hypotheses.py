@@ -297,11 +297,20 @@ def _check_sequence(cls: FiniteClass, seq: LabeledSequence) -> None:
 
 
 def load_class(text: str) -> FiniteClass:
-    """Parse a class document: {"name": ..., "n": ..., "k": ..., "rows": [[...], ...]}."""
+    """Parse a class document: {"name": ..., "n": ..., "k": ..., "rows": [[...], ...]},
+    with "factors": [outer document, inner document] beside "rows" for a
+    product (see `dumps_class`)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ValueError(f"malformed class document: {err}") from err
+    return _class_from_doc(doc, {})
+
+
+def _class_from_doc(doc: object, loaded: dict[FiniteClass, FiniteClass]) -> FiniteClass:
+    """The class of a parsed document.  A product is rebuilt through
+    `product_class` from its factors and must have the document's rows; equal
+    factors load as one object (`loaded`), as `catalog` shares one block."""
     if not isinstance(doc, dict):
         raise ValueError("malformed class document: expected a JSON object")
     try:
@@ -311,17 +320,35 @@ def load_class(text: str) -> FiniteClass:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("class document field 'rows' must be a list of lists")
     # FiniteClass refuses counts and labels that are not integers
-    return FiniteClass(doc.get("name", "unnamed"), n, k, rows)
+    fc = FiniteClass(doc.get("name", "unnamed"), n, k, rows)
+    if "factors" in doc:
+        factors = doc["factors"]
+        if not isinstance(factors, list) or len(factors) != 2:
+            raise ValueError("class document field 'factors' must list two class documents")
+        outer, inner = (_class_from_doc(factor, loaded) for factor in factors)
+        product = product_class(fc.name, outer, inner)
+        if (product.n, product.k, product.table) != (fc.n, fc.k, fc.table):
+            raise ValueError(f"class {fc.name!r}: its rows are not the product of its factors")
+        fc = product
+    return loaded.setdefault(fc, fc)
 
 
 def dumps_class(cls: FiniteClass) -> str:
+    """The class document of cls; a product's carries its factors' documents,
+    nested, so that it loads as a product again."""
+    return json.dumps(_class_doc(cls), indent=2)
+
+
+def _class_doc(cls: FiniteClass) -> dict:
     doc = {
         "name": cls.name,
         "n": cls.n,
         "k": cls.k,
         "rows": [list(row) for row in cls.table],
     }
-    return json.dumps(doc, indent=2)
+    if cls.factors is not None:
+        doc["factors"] = [_class_doc(factor) for factor in cls.factors]
+    return doc
 
 
 def read_class(path: str | Path) -> FiniteClass:

@@ -93,6 +93,19 @@ def test_every_module_reads_each_name_it_imports():
     assert unread == []
 
 
+def test_no_module_imports_scipy():
+    # the package computes every value itself; a test may use scipy as an oracle
+    imports = []  # (module file, imported module) for every absolute import, nested ones too
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports.append((path.name, node.module))
+    assert ("harness.py", "numpy") in imports  # the scan sees imports at all
+    assert [f"{file}: {module}" for file, module in imports if module.split(".")[0] == "scipy"] == []
+
+
 # The benchmark also calls a guesser's methods, which the name scan above
 # cannot see: it builds guessers as make_guesser(name, k, rng), and as
 # make_guesser(name, k) for the deterministic ones, and plays them through

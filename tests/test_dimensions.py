@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations, permutations, product
 
@@ -316,12 +317,55 @@ def test_every_build_starts_with_cold_memos():
         assert all(c is not d for d in _factor_tree(first))
 
 
+def _without_factors(fc):
+    """fc's class document with its rows only, as documents were written
+    before they carried factors."""
+    doc = json.loads(dumps_class(fc))
+    del doc["factors"]
+    return json.dumps(doc)
+
+
 def test_classes_outside_the_catalog_record_no_factors():
     fc = permutation_class(2, 3)
-    assert load_class(dumps_class(fc)).factors is None
+    assert load_class(_without_factors(fc)).factors is None
     assert catalog.subclass(fc, fc.full_mask).factors is None
     assert catalog.constants_class(3, 3).factors is None
     assert random_class(np.random.default_rng(0)).factors is None
+
+
+@pytest.mark.parametrize("build, a, k", [(full_class, 3, 2), (permutation_class, 2, 4), (permutation_class, 3, 3)])
+def test_a_saved_product_loads_as_the_same_product(build, a, k):
+    """A product's document carries its factors, and the loaded class is the
+    same tree of factors, with one object wherever the catalog shares one."""
+    fc = build(a, k)
+    loaded = load_class(dumps_class(fc))
+    assert loaded == fc and dumps_class(loaded) == dumps_class(fc)
+    built, got = _factor_tree(fc), _factor_tree(loaded)
+    assert got == built  # the same classes, as many distinct objects, in the same order
+    assert [c.factors for c in got] == [d.factors for d in built]
+    leaves = {id(f) for c in got for f in c.factors or () if f.factors is None}
+    assert len(leaves) == 1  # one block object, as _power builds it
+    assert load_class(_without_factors(fc)) == loaded
+
+
+def test_a_saved_perm_2x4_solves_through_its_factors():
+    # it took the cold search before its document carried the factors
+    loaded = load_class(dumps_class(permutation_class(2, 4)))
+    assert bldim(loaded.full_space()) == 12
+    assert len(loaded.bldim_cache) == 1
+
+
+def test_a_product_document_must_hold_its_factors_rows():
+    doc = json.loads(dumps_class(permutation_class(2, 3)))
+    swapped = dict(doc, rows=doc["rows"][::-1])  # the same rows, another order
+    missing = dict(doc, rows=doc["rows"][1:])
+    other = dict(doc, factors=[doc["factors"][0], json.loads(dumps_class(full_class(1, 3)))])
+    for bad in (swapped, missing, other):
+        with pytest.raises(ValueError, match="not the product of its factors"):
+            load_class(json.dumps(bad))
+    for factors in ([doc["factors"][0]], {}, [doc["factors"][0], [[0, 1, 2]]]):
+        with pytest.raises(ValueError):
+            load_class(json.dumps(dict(doc, factors=factors)))
 
 
 def _flat_full(n, k):

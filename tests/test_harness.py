@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditlab import (
+    catalog,
     full_class,
     harness,
     ldim,
@@ -562,6 +563,85 @@ def test_claim_permutation_rows_match_fresh_learners(seed):
                 assert (row.learner, row.direction, row.mean_mistakes) == (lname, "=", float(law.mean))
                 assert row.passed is (law.mean == floor) is True
     assert next(rows, None) is None
+
+
+def _fresh_generator_counts(seed, trials):
+    """The slow route for claim-permutation's random row: per schedule, trial
+    i's tape drawn by a fresh `default_rng` of its first spawned seed and
+    played with a fresh `default_rng` of its second, as the preset built them
+    before it rewound one generator pair per trial."""
+    streams = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(trials)]
+    counts = []
+    for delta, k in ((1, 3), (2, 4)):
+        fc = permutation_class(delta, k)
+        start = make_learner("random", fc, delta * k * (k - 1) // 2)
+        for a, b in streams:
+            tape = draw_permutation_tape(delta, k, np.random.default_rng(a))
+            counts.append(start.run_mistakes(permutation_sequence(fc, delta, tape), np.random.default_rng(b)))
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+@pytest.mark.parametrize("trials", [1, 7, 100])
+def test_claim_permutation_random_row_matches_fresh_generators(monkeypatch, seed, trials):
+    want = _fresh_generator_counts(seed, trials)
+    counts = []
+    run_mistakes = learners.RandomLearner.run_mistakes
+
+    def recording_run(self, seq, rng=None):
+        counts.append(run_mistakes(self, seq, rng))
+        return counts[-1]
+
+    monkeypatch.setattr(learners.RandomLearner, "run_mistakes", recording_run)
+    rows = [r for r in run_experiment("claim-permutation", seed=seed, trials=trials).rows if r.learner == "random"]
+    assert counts == want
+    assert [(r.mean_mistakes, r.stderr) for r in rows] == [
+        harness._mean_stderr(want[:trials]),
+        harness._mean_stderr(want[trials:]),
+    ]
+
+
+def test_one_shared_class_per_spec():
+    """Presets and games named by spec share one class per spec; every
+    builder still returns a fresh one."""
+    for spec in ("full:1x3", "perm:2x4", "const:2x3"):
+        shared = catalog.shared_class(spec)
+        assert catalog.shared_class(spec) is shared and resolve_class(spec) is shared
+        fresh = parse_spec(spec)
+        assert fresh == shared and fresh is not shared
+    with pytest.raises(ValueError):
+        catalog.shared_class("perm:0x3")
+
+
+# one pinned size per preset (see PINNED_CSV_SHA256)
+REGISTRY_SIZES = {
+    "claim-guessing": 2000,
+    "claim-permutation": 100,
+    "dim-ratio": None,
+    "thm2-realizable": 10,
+    "thm3-agnostic": 4,
+    "thm4-linear": 100,
+}
+
+
+def _pinned_csv_sha256(preset):
+    trials = REGISTRY_SIZES[preset]
+    csv = run_experiment(preset, seed=7, trials=trials, T=PINNED_T.get((preset, trials))).to_csv()
+    return hashlib.sha256(csv.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("preset", sorted(REGISTRY_SIZES))
+def test_preset_reports_keep_their_bytes_on_cold_and_warm_shared_classes(preset):
+    """A preset run first on cold shared classes, and again after the other
+    five have warmed them, writes its pinned bytes both times: the memos hold
+    only exact values."""
+    catalog.shared_class.cache_clear()
+    cold = _pinned_csv_sha256(preset)
+    catalog.shared_class.cache_clear()
+    for other in sorted(set(REGISTRY_SIZES) - {preset}):
+        _pinned_csv_sha256(other)
+    warm = _pinned_csv_sha256(preset)
+    assert cold == warm == PINNED_CSV_SHA256[preset, REGISTRY_SIZES[preset]]
 
 
 def _realizable_games(spec, size, trials, seed, T=24):
