@@ -16,6 +16,7 @@ there is exact: the `Law` of its counts over every tape or label (see
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -128,9 +129,13 @@ def play(learner, adversary, T: int, rng) -> tuple[object, list[RoundRecord]]:
 
 class _Replayed:
     """A deterministic learner state as a node of its game tree, kept for one
-    call: its prediction at each x, and its child for each (x, feedback), are
-    computed once, so games that share a prefix of (instance, feedback) pairs
-    share those steps.  A state whose update returns itself keeps its node."""
+    call: its prediction at each x, and its child for each instance and
+    feedback, are computed once, so games that share a prefix of (instance,
+    feedback) pairs share those steps.  A bandit node keys its children by
+    (x, correctness bit), a full-information one by (x, allowed set), and
+    builds the feedback a state is given only when it makes a child.  A
+    state whose update returns itself is recorded as None, meaning this same
+    node: the tree holds no cycle, so it is freed when the call ends."""
 
     __slots__ = ("state", "kind", "mistakes", "_predictions", "_children")
     deterministic: ClassVar[bool] = True
@@ -138,7 +143,7 @@ class _Replayed:
     def __init__(self, state):
         self.state, self.kind, self.mistakes = state, state.kind, state.mistakes
         self._predictions: dict[int, int] = {}
-        self._children: dict[tuple, _Replayed] = {}
+        self._children: dict[tuple, _Replayed | None] = {}
 
     def predict(self, x: int, rng=None) -> int:
         if (prediction := self._predictions.get(x)) is None:
@@ -146,27 +151,31 @@ class _Replayed:
         return prediction
 
     def update(self, x: int, prediction: int, feedback) -> "_Replayed":
-        if (child := self._children.get((x, feedback))) is None:
+        seen = feedback.allowed if self.kind == "full" else feedback.correct
+        return self._step(x, prediction, seen)
+
+    def _step(self, x: int, prediction: int, seen) -> "_Replayed":
+        """The node after predicting `prediction` at x and seeing `seen`: the
+        allowed set for a full-information node, else the correctness bit."""
+        key = (x, seen)
+        try:
+            child = self._children[key]
+        except KeyError:
+            feedback = FullInfoFeedback(seen) if self.kind == "full" else _BANDIT_FEEDBACK[seen]
             nxt = self.state.update(x, prediction, feedback)
-            if nxt is self.state:
-                return self  # not stored: no cycle, so the tree is freed when the call ends
-            child = self._children[x, feedback] = _Replayed(nxt)
-        return child
+            child = self._children[key] = None if nxt is self.state else _Replayed(nxt)
+        return self if child is None else child
 
     def run_mistakes(self, seq: LabeledSequence, rng=None) -> int:
         """The mistake count after playing the fixed run seq from this node,
-        walking the tree along it: a full-information learner is given each
+        walking the tree along it: a full-information learner sees each
         round's allowed set, any other the correctness bit, as `play` gives
         them."""
         node, full = self, self.kind == "full"
         for ex in seq:
-            x, allowed = ex.x, ex.allowed
+            x = ex.x
             prediction = node.predict(x, rng)
-            if full:
-                feedback = FullInfoFeedback(allowed)
-            else:
-                feedback = _BANDIT_FEEDBACK[prediction in allowed]
-            node = node.update(x, prediction, feedback)
+            node = node._step(x, prediction, ex.allowed if full else prediction in ex.allowed)
         return node.mistakes
 
 
@@ -424,8 +433,56 @@ def _schedule_mistakes(start, seqs) -> list[int]:
     of seqs, each counted whole from `start`: by the learner's own
     `run_mistakes` (the baselines'), else along one `_Replayed` game tree,
     where runs that share a prefix of (instance, feedback) pairs share its
-    steps.  `play` is the reference for both."""
+    steps.  `play` is the reference for both.  Its callers: thm2-realizable,
+    on each call's sampled runs, and the seed-free exact laws below
+    (`_permutation_law`, `_guessing_law`, `_embedded_law`)."""
     return list(map(getattr(start, "run_mistakes", None) or _Replayed(start).run_mistakes, seqs))
+
+
+# The exact law of a deterministic row depends only on (learner, class,
+# horizon), never on the seed or on `trials`, so each is counted once per
+# process, as `every_permutation_sequence` builds each tape table once.  A
+# `Law` is frozen: callers share it.
+
+
+@functools.cache
+def _permutation_law(lname: str, delta: int, k: int) -> Law:
+    """The law of deterministic learner lname's mistakes on perm:deltaxk's
+    block schedule, over its (k!)^delta equally likely tapes.  A `blockwise`
+    learner plays each block as it would play the one perm:1xk block alone:
+    its law is that of its k! block runs, summed over the delta independent
+    blocks.  Any other is counted on every whole tape."""
+    fc = catalog.shared_class(f"perm:{delta}x{k}")
+    block = fc.factors[0] if delta > 1 else fc
+    horizon = delta * k * (k - 1) // 2
+    if learner_class(lname).blockwise:
+        runs = every_permutation_sequence(block, 1).values()
+        counts = _schedule_mistakes(make_learner(lname, block, horizon // delta), runs)
+        return Law.uniform_over(counts).summed(delta)
+    tapes = every_permutation_sequence(block, delta).values()
+    return Law.uniform_over(_schedule_mistakes(make_learner(lname, fc, horizon), tapes))
+
+
+@functools.cache
+def _guessing_law(lname: str, k: int) -> Law:
+    """The law of deterministic learner lname's wrong guesses in the guessing
+    game on full:1xk, over its k equally likely hidden labels' runs."""
+    runs = [guessing_run(h, k - 1) for h in range(k)]
+    start = make_learner(lname, catalog.shared_class(f"full:1x{k}"), k - 1)
+    return Law.uniform_over(_schedule_mistakes(start, runs))
+
+
+@functools.cache
+def _embedded_law(delta: int, k: int) -> Law:
+    """The law of a bandit Perceptron's mistakes on the block schedule of
+    perm:deltaxk played on its roots-of-unity embedding, over every tape;
+    point (j, m) is the m-th root of unity on coordinate j whatever the tape."""
+    fc = catalog.shared_class(f"perm:{delta}x{k}")
+    _, graph = linear.roots_of_unity_embedding([list(range(k))] * delta)
+    points = {x: graph[x][0] for x in range(delta * k)}
+    start = linear.EmbeddedLearner(linear.BanditPerceptron.zeros(k, 2 * delta), points)
+    tapes = every_permutation_sequence(fc.factors[0] if delta > 1 else fc, delta)
+    return Law.uniform_over(_schedule_mistakes(start, tapes.values()))
 
 
 def preset_thm2_realizable(seed: int, trials: int = 50, T: int = 24) -> Report:
@@ -504,7 +561,9 @@ def preset_thm4_linear(seed: int, trials: int = 2000, T: int = 60) -> Report:
     """Margin constructions: exact gaps and norms, Perceptron runs of T
     points within 2*D^2, and the block-bijection schedule forces its floor on
     a bandit linear learner, exactly, over every tape: the embedded row plays
-    each of the 36 tapes equally often in at least `trials` games."""
+    each of the 36 tapes equally often in at least `trials` games.  That
+    row's law is seed-free, so it is counted once per process
+    (`_embedded_law`)."""
     runs = 100  # Perceptron streams per construction
     rows = []
     notes = []
@@ -551,17 +610,12 @@ def preset_thm4_linear(seed: int, trials: int = 2000, T: int = 60) -> Report:
         worst = int(linear.perceptron_mistakes(np.eye(L)[idx], labels, k)[0].max())
         rows.append(_row((name, "perceptron", "stream", T, runs), worst, 2.0 * L, "<="))
 
-    # lower-bound transfer: the block schedule on embedded points, over every
-    # tape; point (j, m) is the m-th root of unity on coordinate j whatever the tape
+    # lower-bound transfer: the block schedule on embedded points, over every tape
     delta, k = 2, 3
-    fc = catalog.shared_class(f"perm:{delta}x{k}")
-    _, graph = linear.roots_of_unity_embedding([list(range(k))] * delta)
-    points = {x: graph[x][0] for x in range(delta * k)}
-    start = linear.EmbeddedLearner(linear.BanditPerceptron.zeros(k, 2 * delta), points)
-    tapes = every_permutation_sequence(fc.factors[0], delta)
-    law = Law.uniform_over(_schedule_mistakes(start, tapes.values()))
-    label = (f"bijections:{delta}x{k}", "bandit-perceptron", "permutation-embedded", fc.n)
-    rows += _law_rows(label, _balanced(trials, len(tapes)), law, permutation_floor(delta, k), (">=",))
+    tapes = math.factorial(k) ** delta
+    label = (f"bijections:{delta}x{k}", "bandit-perceptron", "permutation-embedded", delta * k)
+    law, floor = _embedded_law(delta, k), permutation_floor(delta, k)
+    rows += _law_rows(label, _balanced(trials, tapes), law, floor, (">=",))
     return Report(
         "thm4-linear",
         seed,
@@ -577,15 +631,14 @@ def preset_claim_guessing(seed: int, trials: int = 100_000) -> Report:
     strategy is its learner on full:1xk (`adversaries.GUESSER_LEARNERS`).  A
     deterministic one's row is exact: the law of its counts on the k equally
     likely hidden labels' runs, each played equally often in at least
-    `trials` games.  The random guesser plays `trials` games, its hidden
+    `trials` games; that law is seed-free, so it is counted once per process
+    (`_guessing_law`).  The random guesser plays `trials` games, its hidden
     labels and guesses drawn from one pair of streams spawned per k, and is
     judged by its law, Binomial(k-1, (k-1)/k)."""
     rows = []
     ss = np.random.SeedSequence(seed)
     for k in range(2, 9):
         floor = Fraction(k - 1, 2)
-        fc = catalog.shared_class(f"full:1x{k}")
-        runs = [guessing_run(h, k - 1) for h in range(k)]
         for strategy, lname in GUESSER_LEARNERS.items():
             label = (f"k={k}", strategy, "guessing", k - 1)
             if not learner_class(lname).deterministic:
@@ -597,7 +650,7 @@ def preset_claim_guessing(seed: int, trials: int = 100_000) -> Report:
                 sample = _mean_stderr((guesses != hidden[:, None]).sum(axis=1))
                 rows += _law_rows(label, trials, law, floor, (">=",), sample)
                 continue
-            law = Law.uniform_over(_schedule_mistakes(make_learner(lname, fc, k - 1), runs))
+            law = _guessing_law(lname, k)
             directions = (">=", "=") if strategy == "nonrepeating" else (">=",)
             rows += _law_rows(label, _balanced(trials, k), law, floor, directions)
     return Report(
@@ -616,10 +669,11 @@ def preset_claim_permutation(seed: int, trials: int = 10_000) -> Report:
     delta*(k-1)*k/4 mistakes, and soa-bandit and bsoa attain it.
 
     A deterministic learner's row is exact over the (k!)^delta equally likely
-    tapes, each played equally often in at least `trials` games.
+    tapes, each played equally often in at least `trials` games.  Its law
+    (`_permutation_law`) is seed-free, so it is counted once per process:
     perm:deltaxk is the product of delta copies of one perm:1xk block, which
-    a `blockwise` learner plays as it would play it alone: its law is that of
-    its k! block runs, summed over the delta independent blocks.  The random
+    a `blockwise` learner plays as it would play it alone, so its law is that
+    of its k! block runs, summed over the delta independent blocks.  The random
     learner plays `trials` games, trial i's (tape, learner) generator pair
     built once per call from one spawned seed pair and rewound to its fresh
     state before each schedule, and is judged by its law,
@@ -636,7 +690,6 @@ def preset_claim_permutation(seed: int, trials: int = 10_000) -> Report:
         horizon = delta * k * (k - 1) // 2
         floor = permutation_floor(delta, k)
         tapes = every_permutation_sequence(block, delta)
-        runs = every_permutation_sequence(block, 1).values()
         for lname in PERMUTATION_ZOO:
             label = (fc.name, lname, f"permutation:{delta}", horizon)
             if not learner_class(lname).deterministic:
@@ -648,12 +701,7 @@ def preset_claim_permutation(seed: int, trials: int = 10_000) -> Report:
                 law = Law.binomial(horizon, Fraction(k - 1, k))
                 rows += _law_rows(label, trials, law, floor, (">=",), _mean_stderr(counts))
                 continue
-            if learner_class(lname).blockwise:
-                counts = _schedule_mistakes(make_learner(lname, block, horizon // delta), runs)
-                law = Law.uniform_over(counts).summed(delta)
-            else:
-                counts = _schedule_mistakes(make_learner(lname, fc, horizon), tapes.values())
-                law = Law.uniform_over(counts)
+            law = _permutation_law(lname, delta, k)
             # soa-bandit and bsoa sit exactly on the floor: the bound is tight
             directions = (">=", "=") if lname in ("soa-bandit", "bsoa") else (">=",)
             rows += _law_rows(label, _balanced(trials, len(tapes)), law, floor, directions)

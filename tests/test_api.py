@@ -16,6 +16,7 @@ import pytest
 from banditlab import guessing_game, make_guesser
 from banditlab.adversaries import GUESSER_NAMES
 from banditlab.learners import RandomLearner
+from process_caches import PROCESS_CACHES, clear_process_caches
 from test_adversaries import CLOSED_FORMS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,6 +92,30 @@ def test_every_module_reads_each_name_it_imports():
                 imported.update(alias.asname or alias.name for alias in node.names)
         unread += [f"{path.name}: {name}" for name in sorted(imported - read_names([path]))]
     assert unread == []
+
+
+def _is_cache(decorator) -> bool:
+    """Whether a decorator is `functools.cache` or `lru_cache`, called or not."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def test_the_test_helper_clears_every_per_process_cache():
+    """A cache left warm between tests can hide a later test's patch, so every
+    `functools.cache` in the package must be one `clear_process_caches` clears."""
+    cached = {
+        (path.stem, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(map(_is_cache, node.decorator_list))
+    }
+    listed = {(fn.__module__.rpartition(".")[2], fn.__qualname__) for fn in PROCESS_CACHES}
+    assert len(cached) >= 6 and cached == listed
+    clear_process_caches()
+    assert [fn.cache_info().currsize for fn in PROCESS_CACHES] == [0] * len(PROCESS_CACHES)
 
 
 def test_no_module_imports_scipy():

@@ -32,8 +32,10 @@ from banditlab import (
     sample_noise_sequence,
 )
 from banditlab.adversaries import (
+    GUESSER_LEARNERS,
     SequenceAdversary,
     draw_permutation_tape,
+    guessing_run,
     permutation_sequence,
     sample_realizable_sequence,
 )
@@ -47,6 +49,7 @@ from banditlab.harness import (
     resolve_class,
 )
 from banditlab.hypotheses import RealizabilityViolation, dumps_class, make_sequence
+from process_caches import clear_process_caches
 from test_adversaries import exact_expected_mistakes
 
 
@@ -298,11 +301,12 @@ def _recording_runs(monkeypatch, *classes):
     return runs
 
 
-def test_thm4_linear_plays_each_embedded_tape_once(monkeypatch):
+def test_thm4_linear_plays_each_embedded_tape_once(cold_caches, monkeypatch):
     """bijections:2x3 has 36 tapes: the embedded row walks one game tree
     along each tape's sequence once, whatever `trials` asks for, and nothing
-    plays through `play`; `trials` moves only the row's game count.  Its mean
-    is that of fresh learners played through `play` on every tape."""
+    plays through `play`; `trials` moves only the row's game count, and a
+    second call reads the law the first counted.  Its mean is that of fresh
+    learners played through `play` on every tape."""
     games = _recording_play(monkeypatch)
     runs = _recording_runs(monkeypatch, harness._Replayed)
     report = run_experiment("thm4-linear", seed=3, trials=300)
@@ -318,11 +322,13 @@ def test_thm4_linear_plays_each_embedded_tape_once(monkeypatch):
     row = report.rows[-1]  # 9 games on each tape: the fewest not below 300
     assert (row.learner, row.trials, row.stderr, row.passed) == ("bandit-perceptron", 324, 0.0, True)
     assert row.mean_mistakes == float(harness.Law.uniform_over(counts).mean) == 10 / 3
+    runs.clear()
     one = run_experiment("thm4-linear", seed=3, trials=1).rows
     assert one[:-1] == report.rows[:-1] and one[-1] == replace(row, trials=36)
+    assert not runs
 
 
-def test_claim_permutation_builds_generators_only_for_randomized_learners(monkeypatch):
+def test_claim_permutation_builds_generators_only_for_randomized_learners(cold_caches, monkeypatch):
     """A blockwise learner counts each of the k! block runs once, on the
     block's class, and cycling each of the (k!)^delta whole tapes once,
     neither with a generator; the random learner counts every trial of both
@@ -360,6 +366,9 @@ def test_claim_permutation_builds_generators_only_for_randomized_learners(monkey
     assert len(randomized) == 2 * 20
     for learner, rng in randomized:
         assert type(learner) is learners.RandomLearner and isinstance(rng, np.random.Generator)
+    runs.clear()  # a second call counts only the random learner: every other law is kept
+    run_experiment("claim-permutation", seed=2, trials=20)
+    assert len(runs) == 2 * 20 and all(type(learner) is learners.RandomLearner for learner, _, _ in runs)
 
 
 def test_integer_draws_of_a_size_equal_the_scalar_draws():
@@ -632,16 +641,114 @@ def _pinned_csv_sha256(preset):
 
 @pytest.mark.parametrize("preset", sorted(REGISTRY_SIZES))
 def test_preset_reports_keep_their_bytes_on_cold_and_warm_shared_classes(preset):
-    """A preset run first on cold shared classes, and again after the other
-    five have warmed them, writes its pinned bytes both times: the memos hold
-    only exact values."""
-    catalog.shared_class.cache_clear()
+    """A preset run first on cold per-process caches (shared classes, tape
+    tables and exact laws), and again after the other five have warmed them,
+    writes its pinned bytes both times: the caches hold only exact values."""
+    clear_process_caches()
     cold = _pinned_csv_sha256(preset)
-    catalog.shared_class.cache_clear()
+    clear_process_caches()
     for other in sorted(set(REGISTRY_SIZES) - {preset}):
         _pinned_csv_sha256(other)
     warm = _pinned_csv_sha256(preset)
     assert cold == warm == PINNED_CSV_SHA256[preset, REGISTRY_SIZES[preset]]
+
+
+# ---------------------------------------------------------------------------
+# the seed-free exact laws, each counted once per process
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("delta, k", [(1, 3), (2, 4)])
+def test_each_permutation_law_is_that_of_fresh_learners_on_every_tape(cold_caches, delta, k):
+    fc = permutation_class(delta, k)
+    seqs = [permutation_sequence(fc, delta, tape) for tape in _all_tapes(delta, k)]
+    horizon = delta * k * (k - 1) // 2
+    for lname in DETERMINISTIC_ZOO:
+        law = harness._permutation_law(lname, delta, k)
+        assert law == harness.Law.uniform_over(_fresh_counts(fc, lname, horizon, seqs)), lname
+        assert harness._permutation_law(lname, delta, k) is law  # counted once
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_each_guessing_law_is_that_of_fresh_learners_on_every_hidden_label(cold_caches, k):
+    runs = [guessing_run(hidden, k - 1) for hidden in range(k)]
+    deterministic = [name for name in GUESSER_LEARNERS.values() if learners.learner_class(name).deterministic]
+    assert deterministic == ["soa-bandit", "constant", "cycling"]
+    for lname in deterministic:
+        law = harness._guessing_law(lname, k)
+        assert law == harness.Law.uniform_over(_fresh_counts(full_class(1, k), lname, k - 1, runs)), lname
+        assert harness._guessing_law(lname, k) is law
+
+
+def test_the_embedded_law_is_that_of_fresh_learners_on_every_tape(cold_caches):
+    fc = permutation_class(2, 3)
+    _, graph = linear.roots_of_unity_embedding([list(range(3))] * 2)
+    points = {x: graph[x][0] for x in range(6)}
+    counts = []
+    for tape in _all_tapes(2, 3):
+        seq = permutation_sequence(fc, 2, tape)
+        start = linear.EmbeddedLearner(linear.BanditPerceptron.zeros(3, 4), points)
+        counts.append(play(start, SequenceAdversary(seq, True), len(seq), None)[0].mistakes)
+    law = harness._embedded_law(2, 3)
+    assert law == harness.Law.uniform_over(counts) and harness._embedded_law(2, 3) is law
+
+
+# ---------------------------------------------------------------------------
+# one game tree per call: _Replayed against fresh learners
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Lazy:
+    """A deterministic learner whose update returns itself whenever a round
+    leaves the wrapped state unchanged, as capacity's does on a correct round."""
+
+    inner: object
+    deterministic: ClassVar[bool] = True
+
+    @property
+    def kind(self):
+        return self.inner.kind
+
+    @property
+    def mistakes(self):
+        return self.inner.mistakes
+
+    def predict(self, x, rng=None):
+        return self.inner.predict(x, rng)
+
+    def update(self, x, prediction, feedback):
+        nxt = self.inner.update(x, prediction, feedback)
+        return self if nxt == self.inner else _Lazy(nxt)
+
+
+def _self_loops(node) -> int:
+    """The children a `_Replayed` tree records as its own node."""
+    return sum(child is None or _self_loops(child) for child in node._children.values())
+
+
+@pytest.mark.parametrize("wrap", [lambda s: s, _Lazy], ids=["plain", "lazy"])
+@pytest.mark.parametrize("lname", ["soa", "capacity", "soa-bandit", "bsoa"])
+@pytest.mark.parametrize("spec", ["full:1x3", "full:2x3", "perm:1x3"])
+def test_a_replayed_tree_plays_as_fresh_learners(spec, lname, wrap):
+    """On thm2-realizable's runs, each twice, one `_Replayed` node counts
+    every run by `run_mistakes`, and a second plays it through `play`: both
+    give the counts, and `play` the rounds, of fresh learners.  A state whose
+    update returns itself (capacity's, and every lazy wrap's) stays its node."""
+    fc = parse_spec(spec)
+    seqs = _realizable_games(spec, 1, 20, 7)[1] * 2
+
+    def start():
+        return wrap(make_learner(lname, fc, 24))
+
+    fresh = [play(start(), SequenceAdversary(seq, True), len(seq), None) for seq in seqs]
+    counted, played = harness._Replayed(start()), harness._Replayed(start())
+    assert [counted.run_mistakes(seq) for seq in seqs] == [end.mistakes for end, _ in fresh]
+    for seq, (end, rounds) in zip(seqs, fresh):
+        node, got = play(played, SequenceAdversary(seq, True), len(seq), None)
+        assert (node.mistakes, got) == (end.mistakes, rounds)
+    if wrap is _Lazy or lname == "capacity":
+        assert _self_loops(counted) > 0 and _self_loops(played) > 0
 
 
 def _realizable_games(spec, size, trials, seed, T=24):
@@ -902,7 +1009,7 @@ def test_every_guesser_law_is_its_count_over_every_hidden_label(k):
 
 
 @pytest.mark.parametrize("shift", [1, -1])
-def test_a_nonrepeating_guesser_off_by_one_guess_on_one_label_fails(monkeypatch, shift):
+def test_a_nonrepeating_guesser_off_by_one_guess_on_one_label_fails(cold_caches, monkeypatch, shift):
     exact = harness._schedule_mistakes
 
     def biased(start, seqs):  # a planted bias: one wrong guess more (or fewer) on hidden label 1
@@ -924,10 +1031,13 @@ def test_a_nonrepeating_guesser_off_by_one_guess_on_one_label_fails(monkeypatch,
 
 def _failing_rows(monkeypatch, preset, owner, name, shift, **sizes):
     """(class, learner, adversary) of each row that fails once `owner.name`
-    returns `shift` more than it does, in a report that passes without."""
+    returns `shift` more than it does, in a report that passes without.  The
+    per-process caches are cleared once the plant is in, so no law counted
+    before it hides it; the caller's `cold_caches` drops what it planted."""
     assert run_experiment(preset, seed=7, **sizes).all_pass
     exact = getattr(owner, name)
     monkeypatch.setattr(owner, name, lambda *args: exact(*args) + shift)
+    clear_process_caches()
     report = run_experiment(preset, seed=7, **sizes)
     assert not report.all_pass
     assert all(r.passed is None for r in report.rows if r.direction == "info")
@@ -944,7 +1054,7 @@ BIJECTIONS = ("bijections:1x3", "bijections:2x4", "bijections:3x5")
         ("roots_of_unity_gap", "min-gap", BIJECTIONS),
     ],
 )
-def test_thm4_linear_fails_a_gap_or_norm_off_by_a_hair(monkeypatch, name, adversary, classes):
+def test_thm4_linear_fails_a_gap_or_norm_off_by_a_hair(cold_caches, monkeypatch, name, adversary, classes):
     failing = _failing_rows(monkeypatch, "thm4-linear", linear, name, 1e-6, trials=100)
     assert failing == [(spec, "-", adversary) for spec in classes]
 
@@ -953,7 +1063,7 @@ def test_thm4_linear_fails_a_gap_or_norm_off_by_a_hair(monkeypatch, name, advers
     "name, shift, adversaries", [("bldim", 100, ("-", "bldim")), ("ldim", 1, ("ldim",))]
 )
 def test_dim_ratio_fails_a_dimension_off_its_envelope_or_closed_form(
-    monkeypatch, name, shift, adversaries
+    cold_caches, monkeypatch, name, shift, adversaries
 ):
     """bldim + 100 breaks every subclass's envelope and every full class's
     closed form; ldim + 1 only raises the envelopes, so only ldim = n fails."""
@@ -963,7 +1073,7 @@ def test_dim_ratio_fails_a_dimension_off_its_envelope_or_closed_form(
     assert len(failing) == (15 + 9 if name == "bldim" else 9)
 
 
-def test_thm3_agnostic_fails_a_best_expert_worse_than_the_best_hypothesis(monkeypatch):
+def test_thm3_agnostic_fails_a_best_expert_worse_than_the_best_hypothesis(cold_caches, monkeypatch):
     sizes = {"trials": 4, "T": 40}
     failing = _failing_rows(monkeypatch, "thm3-agnostic", harness, "best_expert_loss", 1, **sizes)
     assert failing == [
@@ -1108,7 +1218,7 @@ def test_thm2_realizable_refuses_a_run_no_hypothesis_realizes(monkeypatch):
 
 
 @pytest.mark.parametrize("below, passed", [(0, False), (1, True)])
-def test_thm2_realizable_judges_every_run_not_the_mean(monkeypatch, below, passed):
+def test_thm2_realizable_judges_every_run_not_the_mean(cold_caches, monkeypatch, below, passed):
     """One run planted at the ceiling, rounded up, fails each capacity row
     although the mean stays below; one mistake fewer passes."""
     exact = harness._schedule_mistakes
