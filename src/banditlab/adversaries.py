@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import hypotheses
 from .catalog import full_class
 from .dimensions import bldim, bldim_split
 from .hypotheses import FiniteClass, LabeledSequence, MultiLabelExample, is_decimal
@@ -139,8 +140,9 @@ def guessing_sequence(fc: FiniteClass, T: int, rng) -> LabeledSequence:
 
 
 def draw_permutation_tape(delta: int, k: int, rng) -> tuple[tuple[int, ...], ...]:
-    """Per block, the uniformly random order in which labels get committed."""
-    return tuple(tuple(int(v) for v in rng.permutation(k)) for _ in range(delta))
+    """Per block, the uniformly random order in which labels get committed:
+    one `rng.permutation(k)` per block, in block order."""
+    return tuple(tuple(rng.permutation(k).tolist()) for _ in range(delta))
 
 
 def permutation_floor(delta: int, k: int) -> Fraction:
@@ -267,46 +269,67 @@ class MinimaxBanditAdversary:
 # ---------------------------------------------------------------------------
 
 
+def _sampler_sizes(fc: FiniteClass, T: object, label_set_size: object) -> tuple[int, int]:
+    """A sampler's T and label_set_size as ints; ValueError, naming the
+    field, for a negative T, a size outside [1, k], or any non-integer."""
+    T = hypotheses._nonnegative_field(T, "T")
+    size = hypotheses._int_field(label_set_size, "label_set_size")
+    if not 1 <= size <= fc.k:
+        raise ValueError(f"label_set_size must be in [1, {fc.k}], got {size}")
+    return T, size
+
+
+def _one_example_per_round(rounds: list[tuple[int, tuple | frozenset]]) -> LabeledSequence:
+    """The run of (x, allowed labels) rounds, each distinct round one example
+    object (examples are frozen); equal rounds must have equal keys."""
+    examples = {r: MultiLabelExample(r[0], frozenset(r[1])) for r in set(rounds)}
+    return tuple(map(examples.__getitem__, rounds))
+
+
 def sample_realizable_sequence(
     fc: FiniteClass, T: int, rng, label_set_size: int = 1
 ) -> tuple[LabeledSequence, int]:
     """A length-T sequence realized by a uniformly drawn hypothesis.
 
     Each round's allowed set is the hypothesis's label plus label_set_size - 1
-    distinct decoys.  Returns (sequence, realizing row index).  Each distinct
-    round is one example object, built once per call (examples are frozen).
+    distinct decoys.  Returns (sequence, realizing row index).  Draw layout:
+    the row, then the T instances in one draw, then, when label_set_size > 1,
+    one `choice` of decoys per round in round order.  Each distinct round is
+    one example object, built once per call.
     """
-    if not 1 <= label_set_size <= fc.k:
-        raise ValueError(f"label_set_size must be in [1, {fc.k}]")
+    T, label_set_size = _sampler_sizes(fc, T, label_set_size)
     h = int(rng.integers(fc.size))
     row = fc.table[h]
-    items = []
-    examples: dict[tuple[int, frozenset[int]], MultiLabelExample] = {}
-    for x in rng.integers(fc.n, size=T):
-        x = int(x)
+    xs = rng.integers(fc.n, size=T).tolist()
+    labels = []
+    for x in xs:
         truth = row[x]
-        allowed = {truth}
-        if label_set_size > 1:
-            others = [y for y in range(fc.k) if y != truth]
-            decoys = rng.choice(len(others), size=label_set_size - 1, replace=False)
-            allowed.update(others[int(i)] for i in decoys)
-        key = (x, frozenset(allowed))
-        ex = examples.get(key)
-        if ex is None:
-            ex = examples[key] = MultiLabelExample(*key)
-        items.append(ex)
-    return tuple(items), h
+        if label_set_size == 1:
+            labels.append((truth,))
+            continue
+        others = [y for y in range(fc.k) if y != truth]
+        decoys = rng.choice(len(others), size=label_set_size - 1, replace=False).tolist()
+        labels.append(frozenset([truth, *(others[i] for i in decoys)]))
+    return _one_example_per_round(list(zip(xs, labels))), h
 
 
 def sample_noise_sequence(fc: FiniteClass, T: int, rng, label_set_size: int = 1) -> LabeledSequence:
-    """Uniform instances with uniform label sets; generally not realizable."""
-    if not 1 <= label_set_size <= fc.k:
-        raise ValueError(f"label_set_size must be in [1, {fc.k}]")
-    items = []
-    for x in rng.integers(fc.n, size=T):
-        labels = rng.choice(fc.k, size=label_set_size, replace=False)
-        items.append(MultiLabelExample(int(x), frozenset(int(y) for y in labels)))
-    return tuple(items)
+    """Uniform instances with uniform label sets; generally not realizable.
+
+    Draw layout: the T instances in one draw, then the T label sets, each
+    `rng.choice(k, label_set_size, replace=False)` in round order.  A
+    single-label choice is one bounded draw, the one `rng.integers(k)` makes,
+    so at label_set_size 1 the T sets are one `rng.integers(k, size=T)` on
+    the same stream.  Each distinct round is one example object, built once
+    per call.
+    """
+    T, label_set_size = _sampler_sizes(fc, T, label_set_size)
+    xs = rng.integers(fc.n, size=T).tolist()
+    if label_set_size == 1:
+        labels = zip(rng.integers(fc.k, size=T).tolist())  # one-label tuples
+    else:
+        labels = [frozenset(rng.choice(fc.k, size=label_set_size, replace=False).tolist()) for _ in xs]
+    return _one_example_per_round(list(zip(xs, labels)))
 
 
 # ---------------------------------------------------------------------------

@@ -589,7 +589,8 @@ def preset_thm4_linear(seed: int, trials: int = 2000, T: int = 60) -> Report:
             )
         # Perceptron against streams realized by the normalized construction
         d_sq = norm_sq / min_gap**2
-        idx = np.array([rng.integers(len(graph), size=T) for _ in range(runs)])
+        # the runs' streams in one draw: row r is what run r's own draw would be
+        idx = rng.integers(len(graph), size=(runs, T))
         points = np.array([x for x, _ in graph])
         labels = np.array([y for _, y in graph])
         worst = int(linear.perceptron_mistakes(points[idx], labels[idx], k)[0].max())

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from banditlab import (
     permutation_sequence,
     play,
     run_experiment,
+    sample_noise_sequence,
     sample_realizable_sequence,
 )
 from banditlab.adversaries import (
@@ -205,6 +207,18 @@ def test_permutation_justification_is_realizable(delta, k):
         assert fc.full_space().class_error(adv.sequence()) == 0
 
 
+@pytest.mark.parametrize("delta,k", [(1, 2), (1, 3), (2, 4), (3, 5), (2, 9)])
+def test_permutation_tape_is_one_permutation_per_block(delta, k):
+    """Per element, as the tape was read before: each block's permutation
+    read value by value.  The same ints, the same next draw."""
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        tape = draw_permutation_tape(delta, k, rng)
+        assert tape == tuple(tuple(int(v) for v in ref.permutation(k)) for _ in range(delta))
+        assert all(type(v) is int for row in tape for v in row)
+        assert rng.integers(2**62) == ref.integers(2**62)
+
+
 def test_permutation_tape_makes_runs_reproducible():
     fc = permutation_class(2, 4)
     tape = draw_permutation_tape(2, 4, np.random.default_rng(3))
@@ -367,6 +381,66 @@ def test_sampler_rejects_bad_set_size():
     fc = full_class(1, 2)
     with pytest.raises(ValueError):
         sample_realizable_sequence(fc, 5, np.random.default_rng(0), 3)
+
+
+def _noise_round_by_round(fc, T, rng, label_set_size):
+    """The noise sampler's draws as it made them one round at a time: the T
+    instances, then one `choice` per round, with a fresh example each round."""
+    items = []
+    for x in rng.integers(fc.n, size=T):
+        labels = rng.choice(fc.k, size=label_set_size, replace=False)
+        items.append(MultiLabelExample(int(x), frozenset(int(y) for y in labels)))
+    return tuple(items)
+
+
+@pytest.mark.parametrize("spec", [f"full:1x{k}" for k in range(2, 10)] + ["full:2x4"])
+def test_noise_sampler_draws_as_a_choice_per_round(spec):
+    """At one label the T label sets are one `integers(k, size=T)` draw: the
+    same bounded draws `choice(k, 1, replace=False)` makes round by round."""
+    fc = parse_spec(spec)
+    for setsize, T, seed in itertools.product(range(1, fc.k + 1), (0, 1, 59, 200), range(5)):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        seq = sample_noise_sequence(fc, T, rng, setsize)
+        assert seq == _noise_round_by_round(fc, T, ref, setsize), (setsize, T, seed)
+        assert rng.integers(2**62) == ref.integers(2**62)  # the same draws, in order
+        # equal rounds are one object, each built once
+        assert len({id(ex) for ex in seq}) == len(set(seq))
+
+
+# sha256 of `repr` of each sampler's return on full:2x3, T=200,
+# default_rng(7), per label set size, recorded before the samplers read
+# their draws as whole arrays.  Any change to a sampler's draw layout moves them
+PINNED_SAMPLE_SHA256 = {
+    ("noise", 1): "f7964064191a5508bc61e364eec23c787ac83cc345d670bfa7e3b8eb612db17e",
+    ("noise", 2): "92ca76f800cc256b610ded6f418bd8fe8e9eb72c1c746d6a5676066ce643f509",
+    ("noise", 3): "fc7fedd41ca69393e741711d4fa943837f8e44fc59561b295551e7b27ddfb724",
+    ("realizable", 1): "c964aa9845a13e08419bd4f59dcd145a012035ac3a83b29cd5288dfe24c556b9",
+    ("realizable", 2): "b20f78b18eb4b67cb943b5780f09a3baeb37f3fc54c01f914ab6abbcd00499e7",
+    ("realizable", 3): "4311f466f5dc72f04eee1d094fd4186d20a987008ed2d15076f1c1934b7fa3d3",
+}
+SAMPLERS = {"noise": sample_noise_sequence, "realizable": sample_realizable_sequence}
+
+
+@pytest.mark.parametrize("sampler, setsize", sorted(PINNED_SAMPLE_SHA256))
+def test_samplers_keep_their_pinned_draws(sampler, setsize):
+    out = SAMPLERS[sampler](full_class(2, 3), 200, np.random.default_rng(7), setsize)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == PINNED_SAMPLE_SHA256[sampler, setsize]
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+@pytest.mark.parametrize("field", ["T", "label_set_size"])
+@pytest.mark.parametrize("bad", [-1, 2.5, True, "3", 1.0])
+def test_samplers_refuse_a_bad_size_naming_it(sampler, field, bad):
+    sizes = {"T": 5, "label_set_size": 1, field: bad}
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        SAMPLERS[sampler](full_class(2, 3), rng=np.random.default_rng(0), **sizes)
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_samplers_take_numpy_integer_sizes(sampler):
+    fc, draw = full_class(2, 3), SAMPLERS[sampler]
+    out = draw(fc, np.int64(4), np.random.default_rng(3), np.int64(2))
+    assert out == draw(fc, 4, np.random.default_rng(3), 2)
 
 
 def test_make_adversary_names():

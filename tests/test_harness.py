@@ -328,6 +328,32 @@ def test_thm4_linear_plays_each_embedded_tape_once(cold_caches, monkeypatch):
     assert not runs
 
 
+def _perceptron_worsts_run_by_run(seed, T=60, runs=100):
+    """thm4-linear's Perceptron rows with each run's stream drawn on its own,
+    as the preset drew them before one draw made all of a construction's
+    streams; the labelings rows read the generator after those draws."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    worsts = []
+    for delta, k in ((1, 3), (2, 4), (3, 5)):
+        table = [list(rng.permutation(k)) for _ in range(delta)]
+        _, graph = linear.roots_of_unity_embedding(table)
+        idx = np.array([rng.integers(len(graph), size=T) for _ in range(runs)])
+        points, labels = np.array([x for x, _ in graph]), np.array([y for _, y in graph])
+        worsts.append(int(linear.perceptron_mistakes(points[idx], labels[idx], k)[0].max()))
+    for L, k in ((2, 2), (3, 3)):
+        rng.integers(k, size=L)  # the construction's labeling
+        draws = [(rng.integers(k, size=L), rng.integers(L, size=T)) for _ in range(runs)]
+        idx, labels = np.array([i for _, i in draws]), np.array([g[i] for g, i in draws])
+        worsts.append(int(linear.perceptron_mistakes(np.eye(L)[idx], labels, k)[0].max()))
+    return worsts
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 20260809])
+def test_thm4_linear_streams_are_the_per_run_draws(seed):
+    rows = [r for r in run_experiment("thm4-linear", seed=seed, trials=1).rows if r.learner == "perceptron"]
+    assert [r.mean_mistakes for r in rows] == _perceptron_worsts_run_by_run(seed)
+
+
 def test_claim_permutation_builds_generators_only_for_randomized_learners(cold_caches, monkeypatch):
     """A blockwise learner counts each of the k! block runs once, on the
     block's class, and cycling each of the (k!)^delta whole tapes once,
