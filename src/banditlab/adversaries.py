@@ -170,24 +170,13 @@ def permutation_sequence(fc: FiniteClass, delta: int, tape) -> LabeledSequence:
 
 
 @functools.cache
-def every_permutation_sequence(block: FiniteClass, delta: int) -> dict[tuple, LabeledSequence]:
-    """Every tape of the block schedule on the product of delta copies of
-    `block` (a perm:1xk class), in `itertools.product` order, with its
-    `permutation_sequence` on that product.  Each (j, row) segment, row's
-    run on `block` with its instances shifted by j*k, is built once, and a
-    tape's sequence joins its rows' segments.  The table is built once per
-    (block, delta) per process and shared: read it, never change it."""
-    k = block.k
-    runs = {row: permutation_sequence(block, 1, (row,)) for row in itertools.permutations(range(k))}
-    segment = {
-        (j, row): tuple(MultiLabelExample(ex.x + j * k, ex.allowed) for ex in run)
-        for j in range(delta)
-        for row, run in runs.items()
-    }
-    return {
-        tape: sum((segment[j, row] for j, row in enumerate(tape)), ())
-        for tape in itertools.product(runs, repeat=delta)
-    }
+def every_permutation_sequence(fc: FiniteClass, delta: int) -> dict[tuple, LabeledSequence]:
+    """Every tape of the block schedule on fc (a perm:deltaxk class), in
+    `itertools.product` order, with its `permutation_sequence`.  The table is
+    built once per (fc, delta) per process and shared: read it, never change
+    it."""
+    rows = itertools.permutations(range(fc.k))
+    return {tape: permutation_sequence(fc, delta, tape) for tape in itertools.product(rows, repeat=delta)}
 
 
 class PermutationAdversary(SequenceAdversary):

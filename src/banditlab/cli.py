@@ -134,11 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Exit code 0 if every checked bound holds, 1 if one fails, 2 on rejected input."""
+    """Exit code 0 if every checked bound holds, 1 if one fails, 2 on rejected
+    input or a file that cannot be read or written."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RealizabilityViolation) as err:
+    except (ValueError, RealizabilityViolation, OSError) as err:
         print(f"banditlab: error: {err}", file=sys.stderr)
         return 2
 

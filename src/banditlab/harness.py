@@ -7,11 +7,13 @@ byte-stable across repeats.
 `play` is the one round-by-round loop: `run_game` plays every game through it,
 against the minimax adversary, which reacts to predictions, as against any
 other.  A preset whose games are fixed sequences counts each whole run with a
-`run_mistakes(seq, rng)` instead (see `_schedule_mistakes`), and `play` is the
-reference those are tested against.  A block-schedule tape is one of (k!)^delta
-equally likely, and a hidden label one of k, so a deterministic learner's row
-there is exact: the `Law` of its counts over every tape or label (see
-`preset_claim_permutation` and `preset_claim_guessing`).
+`run_mistakes(seq, rng)` instead: a deterministic learner's along its
+`_Replayed` game tree (see `_schedule_mistakes`), the random learner's as one
+draw, and `play` is the reference those are tested against.  A block-schedule
+tape is one of (k!)^delta equally likely, and a hidden label one of k, so a
+deterministic learner's row there is exact: the `Law` of its counts over every
+whole tape or label, counted once per process (see `preset_claim_permutation`
+and `preset_claim_guessing`).
 """
 
 from __future__ import annotations
@@ -389,10 +391,6 @@ class Law:
         """n independent rounds, each a mistake with probability p."""
         return cls(n * p, n * p * (1 - p), 0, n)
 
-    def summed(self, times: int) -> "Law":
-        """The law of the sum of `times` independent counts of this law."""
-        return Law(times * self.mean, times * self.var, times * self.lo, times * self.hi)
-
     def tolerance(self, trials: int) -> float:
         """Half-width eps with P(|mean - E| >= eps) <= 1e-6 for the mean of
         `trials` independent counts of this law: Bernstein's inequality with
@@ -430,13 +428,12 @@ def _law_rows(label, trials, law, bound, directions, sample=None) -> list[Report
 
 def _schedule_mistakes(start, seqs) -> list[int]:
     """The mistakes of deterministic learner state `start` on each fixed run
-    of seqs, each counted whole from `start`: by the learner's own
-    `run_mistakes` (the baselines'), else along one `_Replayed` game tree,
+    of seqs, each counted whole from `start` along one `_Replayed` game tree,
     where runs that share a prefix of (instance, feedback) pairs share its
-    steps.  `play` is the reference for both.  Its callers: thm2-realizable,
-    on each call's sampled runs, and the seed-free exact laws below
+    steps.  `play` is the reference.  Its callers: thm2-realizable, on each
+    call's sampled runs, and the seed-free exact laws below
     (`_permutation_law`, `_guessing_law`, `_embedded_law`)."""
-    return list(map(getattr(start, "run_mistakes", None) or _Replayed(start).run_mistakes, seqs))
+    return list(map(_Replayed(start).run_mistakes, seqs))
 
 
 # The exact law of a deterministic row depends only on (learner, class,
@@ -448,19 +445,11 @@ def _schedule_mistakes(start, seqs) -> list[int]:
 @functools.cache
 def _permutation_law(lname: str, delta: int, k: int) -> Law:
     """The law of deterministic learner lname's mistakes on perm:deltaxk's
-    block schedule, over its (k!)^delta equally likely tapes.  A `blockwise`
-    learner plays each block as it would play the one perm:1xk block alone:
-    its law is that of its k! block runs, summed over the delta independent
-    blocks.  Any other is counted on every whole tape."""
+    block schedule, counted on each of its (k!)^delta equally likely tapes."""
     fc = catalog.shared_class(f"perm:{delta}x{k}")
-    block = fc.factors[0] if delta > 1 else fc
-    horizon = delta * k * (k - 1) // 2
-    if learner_class(lname).blockwise:
-        runs = every_permutation_sequence(block, 1).values()
-        counts = _schedule_mistakes(make_learner(lname, block, horizon // delta), runs)
-        return Law.uniform_over(counts).summed(delta)
-    tapes = every_permutation_sequence(block, delta).values()
-    return Law.uniform_over(_schedule_mistakes(make_learner(lname, fc, horizon), tapes))
+    start = make_learner(lname, fc, delta * k * (k - 1) // 2)
+    tapes = every_permutation_sequence(fc, delta).values()
+    return Law.uniform_over(_schedule_mistakes(start, tapes))
 
 
 @functools.cache
@@ -481,8 +470,8 @@ def _embedded_law(delta: int, k: int) -> Law:
     _, graph = linear.roots_of_unity_embedding([list(range(k))] * delta)
     points = {x: graph[x][0] for x in range(delta * k)}
     start = linear.EmbeddedLearner(linear.BanditPerceptron.zeros(k, 2 * delta), points)
-    tapes = every_permutation_sequence(fc.factors[0] if delta > 1 else fc, delta)
-    return Law.uniform_over(_schedule_mistakes(start, tapes.values()))
+    tapes = every_permutation_sequence(fc, delta).values()
+    return Law.uniform_over(_schedule_mistakes(start, tapes))
 
 
 def preset_thm2_realizable(seed: int, trials: int = 50, T: int = 24) -> Report:
@@ -671,14 +660,11 @@ def preset_claim_permutation(seed: int, trials: int = 10_000) -> Report:
 
     A deterministic learner's row is exact over the (k!)^delta equally likely
     tapes, each played equally often in at least `trials` games.  Its law
-    (`_permutation_law`) is seed-free, so it is counted once per process:
-    perm:deltaxk is the product of delta copies of one perm:1xk block, which
-    a `blockwise` learner plays as it would play it alone, so its law is that
-    of its k! block runs, summed over the delta independent blocks.  The random
-    learner plays `trials` games, trial i's (tape, learner) generator pair
-    built once per call from one spawned seed pair and rewound to its fresh
-    state before each schedule, and is judged by its law,
-    Binomial(horizon, (k-1)/k)."""
+    (`_permutation_law`) is seed-free, so it is counted once per process, on
+    every whole tape.  The random learner plays `trials` games, trial i's
+    (tape, learner) generator pair built once per call from one spawned seed
+    pair and rewound to its fresh state before each schedule, and is judged
+    by its law, Binomial(horizon, (k-1)/k)."""
     rows = []
     rngs = [
         tuple(map(np.random.default_rng, child.spawn(2)))
@@ -687,10 +673,9 @@ def preset_claim_permutation(seed: int, trials: int = 10_000) -> Report:
     fresh = [(a.bit_generator.state, b.bit_generator.state) for a, b in rngs]
     for delta, k in ((1, 3), (2, 4)):
         fc = catalog.shared_class(f"perm:{delta}x{k}")
-        block = fc.factors[0] if delta > 1 else fc
         horizon = delta * k * (k - 1) // 2
         floor = permutation_floor(delta, k)
-        tapes = every_permutation_sequence(block, delta)
+        tapes = every_permutation_sequence(fc, delta)
         for lname in PERMUTATION_ZOO:
             label = (fc.name, lname, f"permutation:{delta}", horizon)
             if not learner_class(lname).deterministic:

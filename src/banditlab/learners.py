@@ -6,16 +6,14 @@ learners expose
 
     kind          "full" or "bandit" (which feedback they consume)
     deterministic whether predict ignores its rng (a class-level trait)
-    blockwise     whether, on a product class, it plays each factor's instances
-                  as it would play that factor alone (a class-level trait)
     predict(x, rng) -> label
     update(x, prediction, feedback) -> next state
     mistakes      running count
 
 The version-space learners (soa, soa-bandit, bsoa) share `_SpaceLearner`: its
 space, count, `for_class` and correctness-bit update; each adds its predict,
-and soa its full-information update.  The baseline predictors also count a
-whole fixed run at once, with `run_mistakes(seq, rng)`.
+and soa its full-information update.  The random learner also counts a whole
+fixed run at once, with `run_mistakes(seq, rng)`.
 """
 
 from __future__ import annotations
@@ -80,15 +78,7 @@ def _soa_label_mask(fc: FiniteClass, mask: int, x: int) -> int:
 class _SpaceLearner:
     """A deterministic learner that keeps one version space, starting from the
     whole class, and by default restricts it by the correctness bit: to
-    h(x) = prediction when right, to h(x) != prediction when wrong.
-
-    Blockwise: on a product A x B every restriction at an instance of A keeps
-    the space a product with the same B-part, and the dimension the learner
-    compares for each label there (ldim of V[x=y], or bldim of V[x!=y]) is the
-    A-part's plus that of the B-part, a constant shift (an empty restriction
-    stays -1, below every nonempty one).  So its predictions, ties included,
-    and its mistakes on A's instances are those of the learner on A alone.
-    """
+    h(x) = prediction when right, to h(x) != prediction when wrong."""
 
     deterministic: ClassVar[bool] = True
 
@@ -115,7 +105,6 @@ class SOALearner(_SpaceLearner):
     """
 
     kind: ClassVar[str] = "full"
-    blockwise: ClassVar[bool] = True
 
     def predict(self, x: int, rng=None) -> int:
         if self.space.is_empty:
@@ -138,7 +127,6 @@ class SOABanditLearner(_SpaceLearner):
     """
 
     kind: ClassVar[str] = "bandit"
-    blockwise: ClassVar[bool] = True
 
     def predict(self, x: int, rng=None) -> int:
         return soa_prediction(self.space, x)
@@ -155,7 +143,6 @@ class BanditOptimalLearner(_SpaceLearner):
     """
 
     kind: ClassVar[str] = "bandit"
-    blockwise: ClassVar[bool] = True
 
     def predict(self, x: int, rng=None) -> int:
         if self.space.is_empty:
@@ -240,18 +227,10 @@ class CapacityLearner:
     reads the same split: a member stays when a label other than the wrong
     one keeps its dimension, and is otherwise replaced, in label order, by
     its nonempty restrictions to the other labels.
-
-    Blockwise: on a product A x B its members stay the products V_A x V_B of
-    an A collection and a B collection, since an update at an instance of A
-    keeps each member's B-part.  There every label's drop is the A
-    collection's drop times the sum of k^(2 ldim V_B) over the B-parts, a
-    positive common multiple, so its predictions, ties included, and its
-    mistakes on A's instances are those of the learner on A alone.
     """
 
     kind: ClassVar[str] = "bandit"
     deterministic: ClassVar[bool] = True
-    blockwise: ClassVar[bool] = True
 
     collection: ClassCollection
     k: int
@@ -286,20 +265,14 @@ class CapacityLearner:
 # ---------------------------------------------------------------------------
 # baseline predictors
 # ---------------------------------------------------------------------------
-#
-# Besides the round-by-round protocol, which `play` runs and which stays the
-# reference, every baseline has `run_mistakes(seq, rng)`: the mistake count
-# after playing a whole fixed run from its state, computed without the loop.
 
 
 @dataclass(frozen=True)
 class ConstantLearner:
-    """Predicts one label every round.  Blockwise: what it plays never depends
-    on what it has seen."""
+    """Predicts one label every round."""
 
     kind: ClassVar[str] = "bandit"
     deterministic: ClassVar[bool] = True
-    blockwise: ClassVar[bool] = True
 
     k: int
     label: int = 0
@@ -311,21 +284,13 @@ class ConstantLearner:
     def update(self, x, prediction, feedback) -> "ConstantLearner":
         return ConstantLearner(self.k, self.label, self.mistakes + (not feedback.correct))
 
-    def run_mistakes(self, seq: LabeledSequence, rng=None) -> int:
-        """The mistake count after playing seq from this state: every round
-        whose allowed set misses the label."""
-        return self.mistakes + sum(self.label not in ex.allowed for ex in seq)
-
 
 @dataclass(frozen=True)
 class CyclingLearner:
-    """Predicts t mod k at its t-th round.  Not blockwise: its round counter
-    runs across blocks, so a block starts where the rounds before it left the
-    cycle."""
+    """Predicts t mod k at its t-th round."""
 
     kind: ClassVar[str] = "bandit"
     deterministic: ClassVar[bool] = True
-    blockwise: ClassVar[bool] = False
 
     k: int
     t: int = 0
@@ -337,22 +302,13 @@ class CyclingLearner:
     def update(self, x, prediction, feedback) -> "CyclingLearner":
         return CyclingLearner(self.k, self.t + 1, self.mistakes + (not feedback.correct))
 
-    def run_mistakes(self, seq: LabeledSequence, rng=None) -> int:
-        """The mistake count after playing seq from this state: round i
-        predicts (t + i) mod k."""
-        k = self.k
-        return self.mistakes + sum((t % k) not in ex.allowed for t, ex in enumerate(seq, self.t))
-
 
 @dataclass(frozen=True)
 class RandomLearner:
-    """Predicts a uniformly random label, ignoring all feedback.  Not
-    blockwise: one generator draws the whole run, so a block's draws depend
-    on the rounds before it."""
+    """Predicts a uniformly random label, ignoring all feedback."""
 
     kind: ClassVar[str] = "bandit"
     deterministic: ClassVar[bool] = False
-    blockwise: ClassVar[bool] = False
 
     k: int
     mistakes: int = 0
@@ -474,8 +430,7 @@ class Exp4Learner:
     `weights[(mask, j)]` is the summed weight of the pasts that reach that
     state; each past stands for the M(r, L-j) = sum_{i<=L-j} C(r,i) * k^i
     experts that share it, r being the rounds left.  Weights are rescaled so
-    that the experts' total weight is 1.  Not blockwise: its play is random,
-    and its weights and exploration rate span the whole class and horizon.
+    that the experts' total weight is 1.
 
     `for_class` takes every round's shares from one table built once per
     (T, k, L), which every game with those sizes shares.  A state computes
@@ -487,7 +442,6 @@ class Exp4Learner:
 
     kind: ClassVar[str] = "bandit"
     deterministic: ClassVar[bool] = False
-    blockwise: ClassVar[bool] = False
 
     fc: FiniteClass
     T: int

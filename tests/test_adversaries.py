@@ -241,14 +241,26 @@ def test_permutation_floor_values():
 
 
 @pytest.mark.parametrize("spec", ["perm:1x3", "perm:2x3", "perm:2x4"])
-def test_every_permutation_sequence_joins_its_block_segments_into_each_schedule(spec):
+def test_every_permutation_sequence_is_each_tape_schedule_on_the_product(spec):
     fc = parse_spec(spec)
     delta, k = fc.n // fc.k, fc.k
-    tapes = every_permutation_sequence(fc.factors[0] if delta > 1 else fc, delta)
+    tapes = every_permutation_sequence(fc, delta)
     assert list(tapes) == list(itertools.product(itertools.permutations(range(k)), repeat=delta))
     for tape, seq in tapes.items():
         assert seq == permutation_sequence(fc, delta, tape), tape
 
+
+@pytest.mark.parametrize("spec, delta", [("perm:2x3", 1), ("perm:1x3", 2), ("full:2x3", 3)])
+def test_every_permutation_sequence_refuses_a_class_that_is_not_delta_blocks(spec, delta):
+    with pytest.raises(ValueError, match="needs n = delta\\*k"):
+        every_permutation_sequence(parse_spec(spec), delta)
+
+
+def test_every_permutation_sequence_builds_each_table_once():
+    fc, other = parse_spec("perm:2x3"), parse_spec("perm:2x3")
+    tapes = every_permutation_sequence(fc, 2)
+    assert every_permutation_sequence(fc, 2) is tapes
+    assert every_permutation_sequence(other, 2) is tapes  # equal classes share one table
 
 # ---------------------------------------------------------------------------
 # the minimax forcing adversary

@@ -78,10 +78,18 @@ def _play_perm_1x3(learner, adversary):
         (_play_perm_1x3("constant:abc", "permutation:1"), "learner 'constant' takes the form constant:<label>"),
         (_play_perm_1x3("constant:", "permutation:1"), "learner 'constant' takes the form constant:<label>"),
         (["experiment", "dim-ratio", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["dim", "{tmp}"], "Is a directory"),
+        (["play", "--class", "{tmp}", "--learner", "cycling", "--adversary", "noise:1", "--T", "2"],
+         "Is a directory"),
+        (["experiment", "dim-ratio", "--out", "{tmp}"], "Is a directory"),
+        (_play_perm_1x3("cycling", "permutation:1") + ["--out", "{tmp}/missing/x.csv"],
+         "No such file or directory"),
+        (_play_perm_1x3("cycling", "permutation:1") + ["--out", "{tmp}"], "Is a directory"),
+        (["experiment", "dim-ratio", "--out", "{tmp}/missing/x.csv"], "No such file or directory"),
     ],
 )
-def test_rejected_input_exits_two_with_a_message(argv, message, capsys):
-    assert cli.main(argv) == 2
+def test_rejected_input_exits_two_with_a_message(argv, message, tmp_path, capsys):
+    assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("banditlab: error: ") and message in err
 

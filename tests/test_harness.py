@@ -355,38 +355,26 @@ def test_thm4_linear_streams_are_the_per_run_draws(seed):
 
 
 def test_claim_permutation_builds_generators_only_for_randomized_learners(cold_caches, monkeypatch):
-    """A blockwise learner counts each of the k! block runs once, on the
-    block's class, and cycling each of the (k!)^delta whole tapes once,
-    neither with a generator; the random learner counts every trial of both
-    schedules, each with a generator.  Nothing plays through `play`."""
+    """Each deterministic learner walks each of the (k!)^delta whole tapes
+    once, on a `_Replayed` tree, with no generator; the random learner
+    counts every trial of both schedules, each with a generator.  Nothing
+    plays through `play`."""
     games = _recording_play(monkeypatch)
-    runs = _recording_runs(
-        monkeypatch,
-        harness._Replayed,
-        learners.ConstantLearner,
-        learners.CyclingLearner,
-        learners.RandomLearner,
-    )
+    runs = _recording_runs(monkeypatch, harness._Replayed, learners.RandomLearner)
     run_experiment("claim-permutation", seed=1, trials=20)
     assert not games
-    expected = {}  # learner class -> Counter of the sequences it should count
+    tapes = Counter()  # every whole tape of both schedules, once each
     for delta, k in ((1, 3), (2, 4)):
         fc = permutation_class(delta, k)
-        block = fc.factors[0] if delta > 1 else fc
-        block_runs = [permutation_sequence(block, 1, (row,)) for row in itertools.permutations(range(k))]
-        tapes = [permutation_sequence(fc, delta, tape) for tape in _all_tapes(delta, k)]
-        assert len(set(block_runs)) == math.factorial(k) and len(set(tapes)) == math.factorial(k) ** delta
-        for lname in harness.PERMUTATION_ZOO:
-            cls = learners.learner_class(lname)
-            if cls.deterministic:
-                counted = expected.setdefault(cls, Counter())
-                counted.update(block_runs if cls.blockwise else tapes)
+        seqs = [permutation_sequence(fc, delta, tape) for tape in _all_tapes(delta, k)]
+        assert len(set(seqs)) == math.factorial(k) ** delta
+        tapes.update(seqs)
     got = {}
     for learner, seq, rng in runs:
         if learner.deterministic:
-            assert rng is None
-            got.setdefault(type(getattr(learner, "state", learner)), Counter())[seq] += 1
-    assert got == expected
+            assert type(learner) is harness._Replayed and rng is None
+            got.setdefault(type(learner.state), Counter())[seq] += 1
+    assert got == {learners.learner_class(lname): tapes for lname in DETERMINISTIC_ZOO}
     assert learners.BanditOptimalLearner in got  # bsoa plays both schedules
     randomized = [(learner, rng) for learner, _, rng in runs if not learner.deterministic]
     assert len(randomized) == 2 * 20
@@ -425,7 +413,7 @@ def test_baseline_whole_runs_match_play_round_by_round(start, aname):
         seq = make_adversary(aname, fc, 15, np.random.default_rng(seed)).seq
         for length in (0, 1, 6, 15):
             end, _ = play(start, SequenceAdversary(seq[:length], False), length, None)
-            assert start.run_mistakes(seq[:length]) == end.mistakes, (seed, length)
+            assert harness._Replayed(start).run_mistakes(seq[:length]) == end.mistakes, (seed, length)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -479,98 +467,21 @@ def test_schedule_mistakes_match_fresh_learners_on_every_tape(delta, k):
         assert harness._schedule_mistakes(make_learner(lname, fc, horizon), seqs) == expected, lname
 
 
-# ---------------------------------------------------------------------------
-# blockwise learners: a product's blocks counted one at a time
-# ---------------------------------------------------------------------------
-
-BLOCKWISE = tuple(name for name, cls in learners.LEARNERS.items() if cls.blockwise)
-
-
-def test_blockwise_is_a_trait_of_every_learner_class():
-    for cls in learners.LEARNERS.values():
-        assert type(vars(cls)["blockwise"]) is bool, cls
-    assert BLOCKWISE == ("soa", "capacity", "soa-bandit", "bsoa", "constant")
-
-
 def _all_tapes(delta, k):
     return list(itertools.product(itertools.permutations(range(k)), repeat=delta))
-
-
-@pytest.mark.parametrize("spec", ["perm:2x3", "perm:3x3", "perm:2x4"])
-def test_blockwise_counts_sum_over_the_blocks_of_every_tape(spec):
-    """The whole-sequence route on the product is the oracle: on every tape,
-    a blockwise learner's mistakes are the sum of its mistakes on each block
-    row's run, played on the one shared block object."""
-    fc = parse_spec(spec)
-    delta, k = fc.n // fc.k, fc.k
-    block = fc.factors[0]
-    for name in BLOCKWISE + ("constant:2",):
-        whole = harness._Replayed(make_learner(name, fc, 0)).run_mistakes
-        part = harness._Replayed(make_learner(name, block, 0)).run_mistakes
-        for tape in _all_tapes(delta, k):
-            parts = [part(permutation_sequence(block, 1, (row,))) for row in tape]
-            assert sum(parts) == whole(permutation_sequence(fc, delta, tape)), (name, tape)
-
-
-def _split_by_block(fc, seq):
-    """A product's run as its outer block's rounds and its inner block's
-    rounds, in order, the inner instances shifted down by outer.n."""
-    outer, _ = fc.factors
-    return (
-        tuple(ex for ex in seq if ex.x < outer.n),
-        tuple(type(ex)(ex.x - outer.n, ex.allowed) for ex in seq if ex.x >= outer.n),
-    )
-
-
-@pytest.mark.parametrize("spec", ["full:2x3", "full:3x3", "perm:2x3"])
-def test_blockwise_counts_sum_over_interleaved_blocks(spec):
-    """On sampled runs the blocks interleave; a blockwise learner's mistakes
-    are still the sum of its mistakes on each block's rounds alone."""
-    fc = parse_spec(spec)
-    seqs = [
-        sample_realizable_sequence(fc, 24, np.random.default_rng(seed))[0] for seed in range(40)
-    ]
-    for name in BLOCKWISE:
-        whole = harness._Replayed(make_learner(name, fc, 24)).run_mistakes
-        parts = [harness._Replayed(make_learner(name, f, 24)).run_mistakes for f in fc.factors]
-        for seq in seqs:
-            outer_run, inner_run = _split_by_block(fc, seq)
-            assert outer_run and inner_run  # both blocks are played
-            assert parts[0](outer_run) + parts[1](inner_run) == whole(seq), name
-
-
-def test_cycling_is_not_blockwise():
-    """Its counter carries the rounds of one block into the next: a k=4 block
-    runs 6 rounds and leaves the cycle at 2, so the sum over blocks differs
-    on 480 of perm:2x4's 576 tapes.  A k=3 block runs 3 rounds, a whole
-    cycle, so on perm:2x3 the sum happens to agree."""
-    assert not learners.CyclingLearner.blockwise
-    for spec, differing in (("perm:2x4", 480), ("perm:2x3", 0)):
-        fc = parse_spec(spec)
-        delta, k = fc.n // fc.k, fc.k
-        block = fc.factors[0]
-        start, block_start = make_learner("cycling", fc, 0), make_learner("cycling", block, 0)
-        count = 0
-        for tape in _all_tapes(delta, k):
-            parts = [block_start.run_mistakes(permutation_sequence(block, 1, (row,))) for row in tape]
-            count += sum(parts) != start.run_mistakes(permutation_sequence(fc, delta, tape))
-        assert count == differing, spec
 
 
 @pytest.mark.parametrize("seed", [5, 6])
 def test_claim_permutation_rows_match_fresh_learners(seed):
     """A deterministic learner's row holds the law of fresh, unwrapped
-    learners played through `play` on every whole tape, judged exactly, and
-    a blockwise learner's law of its block runs, summed over the blocks, is
-    that law; the random learner's row holds the mean and stderr of fresh
+    learners played through `play` on every whole tape, judged exactly; the
+    random learner's row holds the mean and stderr of fresh
     learners played game by game on the drawn tapes."""
     rows = iter(run_experiment("claim-permutation", seed=seed, trials=80).rows)
     streams = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(80)]
     for delta, k in ((1, 3), (2, 4)):
         fc = permutation_class(delta, k)
-        block = fc.factors[0] if delta > 1 else fc
         seqs = [permutation_sequence(fc, delta, tape) for tape in _all_tapes(delta, k)]
-        block_runs = [permutation_sequence(block, 1, (row,)) for row in itertools.permutations(range(k))]
         horizon, floor = delta * k * (k - 1) // 2, Fraction(delta * (k - 1) * k, 4)
         for lname in harness.PERMUTATION_ZOO:
             row = next(rows)
@@ -590,9 +501,6 @@ def test_claim_permutation_rows_match_fresh_learners(seed):
             # each tape equally often, in the fewest games not below the 80 asked for
             assert row.trials % len(seqs) == 0 and 80 <= row.trials < 80 + len(seqs)
             assert row.passed is (law.mean >= floor)
-            if learners.learner_class(lname).blockwise:
-                blocks = harness.Law.uniform_over(_fresh_counts(block, lname, horizon // delta, block_runs))
-                assert blocks.summed(delta) == law, lname
             if lname in ("soa-bandit", "bsoa"):
                 row = next(rows)
                 assert (row.learner, row.direction, row.mean_mistakes) == (lname, "=", float(law.mean))
@@ -939,17 +847,14 @@ def test_run_game_refuses_a_diverging_mistake_count(monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 12), min_size=1, max_size=6), st.integers(1, 3))
-def test_a_summed_law_is_the_law_of_every_block_sum(counts, delta):
-    """`Law.uniform_over` against `Fraction` sums, and `summed(delta)`
-    against the law of the sums over every delta-tuple of draws."""
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=6))
+def test_a_uniform_law_is_that_of_fraction_sums(counts):
+    """`Law.uniform_over`, summed as integers, against `Fraction` sums."""
     law = harness.Law.uniform_over(counts)
     mean = Fraction(sum(counts), len(counts))
     assert law == harness.Law(
         mean, sum((c - mean) ** 2 for c in counts) / len(counts), min(counts), max(counts)
     )
-    sums = [sum(draw) for draw in itertools.product(counts, repeat=delta)]
-    assert law.summed(delta) == harness.Law.uniform_over(sums)
 
 
 @pytest.mark.parametrize("n, k", [(1, 2), (3, 3), (4, 4), (2, 5)])
